@@ -13,9 +13,10 @@ from pathlib import Path
 from typing import Optional
 
 from . import io as ivio
-from .cohort import CandidateProfile, CohortStats, cohort_summary
+from .cohort import CandidateProfile, RangeStat, cohort_summary
 from .filters import FilterSet, most_cited_publication
 from .indicators import (
+    DEFAULT_MIN_WINDOW,
     FixedStart,
     MovingWindow,
     WindowSpec,
@@ -26,9 +27,10 @@ from .indicators import (
     select_h_core,
 )
 from .model import (
+    YEAR_MIN,
     CitationDataset,
     Severity,
-    YearlyCitingCounts,
+    _year_max,
     citation_counts_per_publication,
     has_errors,
     validate_dataset,
@@ -36,6 +38,20 @@ from .model import (
 )
 
 PROG = "impact-vitality"
+
+# Cohort statistics in output order: (text label, JSON key, CohortStats
+# field, decimals in the text table). A range prints as "min to max,
+# average mean"; the share prints as a percentage.
+COHORT_ROWS = (
+    ("Number of candidates", "group_size", "group_size", 0),
+    ("Minimum IV", "min_iv", "min_iv_range", 2),
+    ("Share with all IV values > 1", "share_all_above_one", "share_all_above_one", 0),
+    ("IV fluctuation in 5 years until call", "fluctuation_last5", "fluctuation_range", 2),
+    ("Citing publications per year, 5 years until call", "citing_per_year_last5",
+     "citing_per_year_last5", 1),
+    ("Citing publications per year since career start", "citing_per_year_since_start",
+     "citing_per_year_since_start", 1),
+)
 
 
 class UsageError(Exception):
@@ -53,20 +69,39 @@ def _read(path: str) -> str:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _load_dataset(path: str) -> CitationDataset:
+def _parse(path: str, text: str, parse):
     try:
-        return ivio.parse_dataset(_read(path))
+        return parse(text)
     except ivio.FormatError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _checked_dataset(path: str) -> CitationDataset:
-    ds = _load_dataset(path)
+def _checked_dataset(path: str, text: str) -> CitationDataset:
+    ds = _parse(path, text, ivio.parse_dataset)
     findings = validate_dataset(ds)
     if has_errors(findings):
         first = next(f for f in findings if f.severity is Severity.ERROR)
         raise DataError(f"{path}: {first.message}")
     return ds
+
+
+def _year_arg(name: str, year: Optional[int]) -> Optional[int]:
+    """The year itself, if it lies in [YEAR_MIN, _year_max()]. The bound caps
+    the work of the fixed-start profile, which is quadratic in its year span."""
+    if year is not None and not YEAR_MIN <= year <= _year_max():
+        raise UsageError(f"{name} {year} outside [{YEAR_MIN}, {_year_max()}]")
+    return year
+
+
+def _growing_window(counts, ds=None, career_start=None) -> FixedStart:
+    """The default window: it starts at the career start (given, else the
+    dataset's), else at the dataset's first citation year, else at the first
+    counted year."""
+    if ds is None:
+        return default_window_spec(career_start, counts.min_year())
+    if career_start is None:
+        career_start = ds.target.career_start_year
+    return default_window_spec(career_start, ds.target.first_citation_year)
 
 
 def parse_window_arg(arg: str) -> WindowSpec:
@@ -75,8 +110,8 @@ def parse_window_arg(arg: str) -> WindowSpec:
         if parts[0] == "moving" and len(parts) == 2:
             return MovingWindow(n=int(parts[1]))
         if parts[0] == "fixed" and len(parts) in (2, 3):
-            start = int(parts[1])
-            min_length = int(parts[2]) if len(parts) == 3 else 4
+            start = _year_arg("--window start", int(parts[1]))
+            min_length = int(parts[2]) if len(parts) == 3 else DEFAULT_MIN_WINDOW
             return FixedStart(start_year=start, min_length=min_length)
     except ValueError as exc:
         raise UsageError(f"invalid --window {arg!r}: {exc}") from exc
@@ -105,7 +140,7 @@ def parse_filter_args(args: list[str], ds: Optional[CitationDataset]) -> FilterS
 
 
 def cmd_validate(args) -> int:
-    ds = _load_dataset(args.dataset)
+    ds = _parse(args.dataset, _read(args.dataset), ivio.parse_dataset)
     findings = validate_dataset(ds)
     for f in findings:
         print(f"{f.severity.value}: {f.message}")
@@ -122,38 +157,31 @@ def cmd_profile(args) -> int:
             "--filter needs record-level data; a bare counts file has none "
             "(use a dataset file instead)"
         )
+    first = _year_arg("--from", args.from_year)
+    last = _year_arg("--to", args.to_year)
+    spec = parse_window_arg(args.window) if args.window else None
 
     if args.counts:
-        try:
-            counts = ivio.parse_counts(_read(args.counts))
-        except ivio.FormatError as exc:
-            raise DataError(f"{args.counts}: {exc}") from exc
+        counts = _parse(args.counts, _read(args.counts), ivio.parse_counts)
         ds = None
     else:
-        ds = _checked_dataset(args.dataset)
+        ds = _checked_dataset(args.dataset, _read(args.dataset))
         fs = parse_filter_args(args.filter or [], ds)
         counts = yearly_citing_counts(ds, fs)
 
     if not counts.counts:
         raise DataError("no citing publications to profile")
 
-    if args.window:
-        spec = parse_window_arg(args.window)
-    elif ds is not None:
-        spec = default_window_spec(
-            ds.target.career_start_year, ds.target.first_citation_year
-        )
-    else:
-        spec = FixedStart(start_year=counts.min_year())
-
-    first = args.from_year
-    last = args.to_year
+    if spec is None:
+        spec = _growing_window(counts, ds)
     if first is None:
         first = counts.min_year()
         if isinstance(spec, FixedStart):
             first = min(first, spec.start_year)
     if last is None:
         last = counts.max_year()
+    if first > last:
+        raise UsageError(f"empty observation range [{first}, {last}]")
     try:
         profile = iv_profile(counts, spec, first, last)
     except ValueError as exc:
@@ -163,13 +191,15 @@ def cmd_profile(args) -> int:
 
 
 def cmd_indicators(args) -> int:
-    ds = _checked_dataset(args.dataset)
+    year = _year_arg("--year", args.year)
+    ds = _checked_dataset(args.dataset, _read(args.dataset))
     if not ds.citing_records:
         raise DataError("dataset has no citing records")
     fs = FilterSet()
     per_pub = citation_counts_per_publication(ds, fs)
     counts = yearly_citing_counts(ds, fs)
-    year = args.year if args.year is not None else counts.max_year()
+    if year is None:
+        year = counts.max_year()
 
     h = h_index(list(per_pub.values()))
     core = select_h_core(
@@ -177,7 +207,7 @@ def cmd_indicators(args) -> int:
     )
     ar = ar_index(core)
 
-    spec = default_window_spec(ds.target.career_start_year, ds.target.first_citation_year)
+    spec = _growing_window(counts, ds)
     first = min(counts.min_year(), spec.start_year)
     profile = iv_profile(counts, spec, first, year)
     latest = profile.points[-1] if profile.points else None
@@ -216,74 +246,53 @@ def cmd_indicators(args) -> int:
 
 
 def _load_candidate(entry: dict, base: Path) -> CandidateProfile:
-    path = base / entry["path"]
-    text = _read(str(path))
-    start = entry["career_start_year"]
+    path = str(base / entry["path"])
+    text = _read(path)
+    call_year, start, ds = entry["call_year"], entry["career_start_year"], None
     if text.lstrip().startswith("{"):
-        try:
-            ds = ivio.parse_dataset(text)
-        except ivio.FormatError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+        ds = _checked_dataset(path, text)
         counts = yearly_citing_counts(ds, FilterSet())
         if start is None:
             start = ds.target.career_start_year
     else:
-        try:
-            counts = ivio.parse_counts(text)
-        except ivio.FormatError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+        counts = _parse(path, text, ivio.parse_counts)
     if not counts.counts:
         raise DataError(f"{path}: no citing publications")
-    anchor = start if start is not None else counts.min_year()
-    spec = FixedStart(start_year=anchor)
-    profile = iv_profile(counts, spec, anchor, entry["call_year"])
+    spec = _growing_window(counts, ds, start)
+    if call_year < spec.start_year:
+        raise DataError(
+            f"{path}: call year {call_year} is before the window start {spec.start_year}"
+        )
+    profile = iv_profile(counts, spec, spec.start_year, call_year)
     return CandidateProfile(
         candidate_id=entry["candidate_id"],
         selected=entry["selected"],
-        call_year=entry["call_year"],
+        call_year=call_year,
         career_start_year=start,
         profile=profile,
         yearly_counts=counts,
     )
 
 
-def _stats_cells(stats: CohortStats) -> dict[str, str]:
-    def rng(r, digits=2):
-        if r is None:
-            return "n/a"
-        return f"{r.min:.{digits}f} to {r.max:.{digits}f}, average {r.mean:.{digits}f}"
-
-    return {
-        "group_size": str(stats.group_size),
-        "min_iv": rng(stats.min_iv_range),
-        "share_all_above_one": (
-            "n/a" if stats.share_all_above_one is None else f"{stats.share_all_above_one:.0%}"
-        ),
-        "fluctuation_last5": rng(stats.fluctuation_range),
-        "citing_per_year_last5": rng(stats.citing_per_year_last5, 1),
-        "citing_per_year_since_start": rng(stats.citing_per_year_since_start, 1),
-    }
+def _stat_cell(value, decimals: int) -> str:
+    if value is None:
+        return "n/a"
+    if isinstance(value, RangeStat):
+        low, high, mean = (f"{v:.{decimals}f}" for v in (value.min, value.max, value.mean))
+        return f"{low} to {high}, average {mean}"
+    if isinstance(value, float):
+        return f"{value:.{decimals}%}"
+    return str(value)
 
 
-def _stats_json(stats: CohortStats) -> dict:
-    def rng(r):
-        return None if r is None else {"min": r.min, "max": r.max, "mean": r.mean}
-
-    return {
-        "group_size": stats.group_size,
-        "min_iv": rng(stats.min_iv_range),
-        "share_all_above_one": stats.share_all_above_one,
-        "fluctuation_last5": rng(stats.fluctuation_range),
-        "citing_per_year_last5": rng(stats.citing_per_year_last5),
-        "citing_per_year_since_start": rng(stats.citing_per_year_since_start),
-    }
+def _stat_json(value):
+    if isinstance(value, RangeStat):
+        return {"min": value.min, "max": value.max, "mean": value.mean}
+    return value
 
 
 def cmd_cohort(args) -> int:
-    try:
-        entries = ivio.parse_manifest(_read(args.manifest))
-    except ivio.FormatError as exc:
-        raise DataError(f"{args.manifest}: {exc}") from exc
+    entries = _parse(args.manifest, _read(args.manifest), ivio.parse_manifest)
     if not entries:
         raise DataError(f"{args.manifest}: no candidates listed")
     base = Path(args.manifest).parent
@@ -294,23 +303,19 @@ def cmd_cohort(args) -> int:
         raise DataError(str(exc)) from exc
 
     if args.format == "json":
-        print(json.dumps({k: _stats_json(v) for k, v in summary.items()}, indent=2))
+        doc = {
+            group: {key: _stat_json(getattr(stats, field)) for _, key, field, _ in COHORT_ROWS}
+            for group, stats in summary.items()
+        }
+        print(json.dumps(doc, indent=2))
         return 0
 
-    rows = [
-        ("Number of candidates", "group_size"),
-        ("Minimum IV", "min_iv"),
-        ("Share with all IV values > 1", "share_all_above_one"),
-        ("IV fluctuation in 5 years until call", "fluctuation_last5"),
-        ("Citing publications per year, 5 years until call", "citing_per_year_last5"),
-        ("Citing publications per year since career start", "citing_per_year_since_start"),
-    ]
-    sel = _stats_cells(summary["selected"])
-    non = _stats_cells(summary["not_selected"])
-    width = max(len(label) for label, _ in rows)
+    sel, non = summary["selected"], summary["not_selected"]
+    width = max(len(label) for label, *_ in COHORT_ROWS)
     print(f"{'':<{width}}  | Selected | Not selected")
-    for label, key in rows:
-        print(f"{label:<{width}}  | {sel[key]} | {non[key]}")
+    for label, _, field, decimals in COHORT_ROWS:
+        cells = [_stat_cell(getattr(stats, field), decimals) for stats in (sel, non)]
+        print(f"{label:<{width}}  | {cells[0]} | {cells[1]}")
     return 0
 
 

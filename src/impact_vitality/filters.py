@@ -29,15 +29,6 @@ class FilterSet:
             object.__setattr__(self, "cited_doc_types", frozenset(self.cited_doc_types))
         object.__setattr__(self, "exclude_ids", frozenset(self.exclude_ids))
 
-    def is_empty(self) -> bool:
-        return (
-            not self.exclude_self_citations
-            and self.exclude_citing_only is None
-            and self.citing_doc_types is None
-            and self.cited_doc_types is None
-            and not self.exclude_ids
-        )
-
 
 EMPTY_FILTERS = FilterSet()
 
@@ -73,11 +64,11 @@ def apply_filters(ds: CitationDataset, fs: FilterSet) -> set[str]:
     For cited_doc_types a record survives when at least one of its cited
     publications has an allowed type.
     """
-    if fs.exclude_citing_only is not None and ds.publication_by_id(fs.exclude_citing_only) is None:
+    pub_types = {pub.id: pub.doc_type for pub in ds.publications}
+    if fs.exclude_citing_only is not None and fs.exclude_citing_only not in pub_types:
         raise ValueError(
             f"exclude_citing_only references unknown publication {fs.exclude_citing_only!r}"
         )
-    pub_types = {pub.id: pub.doc_type for pub in ds.publications}
 
     surviving: set[str] = set()
     for rec in ds.citing_records:

@@ -38,10 +38,10 @@ class FormatError(ValueError):
     """Malformed document or schema violation; the message names the culprit."""
 
 
-def _require(obj: dict, key: str, context: str) -> Any:
+def _require(obj: dict, key: str, context: str, kind: Optional[type] = None) -> Any:
     if key not in obj:
         raise FormatError(f"{context}: missing required field {key!r}")
-    return obj[key]
+    return obj[key] if kind is None else _typed(obj[key], kind, context, key)
 
 
 def _check_fields(obj: Any, allowed: set[str], context: str) -> dict:
@@ -51,6 +51,18 @@ def _check_fields(obj: Any, allowed: set[str], context: str) -> dict:
     if unknown:
         raise FormatError(f"{context}: unknown field {unknown[0]!r}")
     return obj
+
+
+def _typed(value: Any, kind: type, context: str, key: str) -> Any:
+    # An exact type match: bool is a subclass of int, and JSON true is no year.
+    if type(value) is not kind:
+        raise FormatError(f"{context}: {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _optional_year(obj: dict, key: str, context: str) -> Optional[int]:
+    value = obj.get(key)
+    return None if value is None else _typed(value, int, context, key)
 
 
 def _parse_author_key(obj: Any, context: str) -> AuthorKey:
@@ -84,23 +96,23 @@ def parse_dataset(document: str) -> CitationDataset:
     key = _parse_author_key(_require(t, "key", "target"), "target.key")
     variants = frozenset(
         _parse_author_key(v, f"target.name_variants[{i}]")
-        for i, v in enumerate(t.get("name_variants", []))
+        for i, v in enumerate(_typed(t.get("name_variants", []), list, "target", "name_variants"))
     )
     target = TargetAuthor(
         key=key,
         name_variants=variants,
-        career_start_year=t.get("career_start_year"),
-        first_citation_year=t.get("first_citation_year"),
+        career_start_year=_optional_year(t, "career_start_year", "target"),
+        first_citation_year=_optional_year(t, "first_citation_year", "target"),
     )
 
     publications = []
-    for i, p in enumerate(_require(raw, "publications", "dataset")):
+    for i, p in enumerate(_require(raw, "publications", "dataset", list)):
         ctx = f"publications[{i}]"
         _check_fields(p, {"id", "year", "doc_type", "label"}, ctx)
         publications.append(
             Publication(
                 id=str(_require(p, "id", ctx)),
-                year=int(_require(p, "year", ctx)),
+                year=_require(p, "year", ctx, int),
                 doc_type=str(p.get("doc_type", "article")),
                 label=p.get("label"),
             )
@@ -108,10 +120,10 @@ def parse_dataset(document: str) -> CitationDataset:
     known_pub_ids = {p.id for p in publications}
 
     records = []
-    for i, r in enumerate(_require(raw, "citing_records", "dataset")):
+    for i, r in enumerate(_require(raw, "citing_records", "dataset", list)):
         ctx = f"citing_records[{i}]"
         _check_fields(r, {"id", "year", "authors", "cited_target_pub_ids", "doc_type"}, ctx)
-        cited = [str(x) for x in _require(r, "cited_target_pub_ids", ctx)]
+        cited = [str(x) for x in _require(r, "cited_target_pub_ids", ctx, list)]
         for pub_id in cited:
             if pub_id not in known_pub_ids:
                 raise FormatError(f"{ctx}: unknown publication id {pub_id!r}")
@@ -120,10 +132,10 @@ def parse_dataset(document: str) -> CitationDataset:
         records.append(
             CitingRecord(
                 id=str(_require(r, "id", ctx)),
-                year=int(_require(r, "year", ctx)),
+                year=_require(r, "year", ctx, int),
                 authors=frozenset(
                     _parse_author_key(a, f"{ctx}.authors[{j}]")
-                    for j, a in enumerate(r.get("authors", []))
+                    for j, a in enumerate(_typed(r.get("authors", []), list, ctx, "authors"))
                 ),
                 cited_target_pub_ids=frozenset(cited),
                 doc_type=str(r.get("doc_type", "article")),
@@ -245,18 +257,7 @@ def emit_report_csv(profile: IVProfile) -> str:
 
 
 def emit_report_json(profile: IVProfile) -> str:
-    rows = [
-        {
-            "observation_year": r["observation_year"],
-            "window_length": r["window_length"],
-            "iv_value": round(r["iv_value"], 2),
-            "total_citing": r["total_citing"],
-            "zero_year_flag": r["zero_year_flag"],
-            "iv_value_raw": r["iv_value_raw"],
-        }
-        for r in report_rows(profile)
-    ]
-    return json.dumps(rows, indent=2) + "\n"
+    return json.dumps(report_rows(profile), indent=2) + "\n"
 
 
 def emit_report_table(profile: IVProfile) -> str:
@@ -285,7 +286,7 @@ def parse_manifest(document: str) -> list[dict]:
     """Parse a cohort manifest CSV.
 
     Columns: candidate_id,selected,call_year,career_start_year,path.
-    career_start_year may be blank.
+    career_start_year may be blank; candidate ids are unique.
     """
     reader = csv.reader(_io.StringIO(document))
     try:
@@ -296,11 +297,16 @@ def parse_manifest(document: str) -> list[dict]:
     if [h.strip() for h in header] != expected:
         raise FormatError(f"manifest: expected header {','.join(expected)!r}")
     entries = []
+    seen_ids: set[str] = set()
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 5:
             raise FormatError(f"manifest line {lineno}: expected 5 columns, got {len(row)}")
+        candidate_id = row[0].strip()
+        if candidate_id in seen_ids:
+            raise FormatError(f"manifest line {lineno}: duplicate candidate_id {candidate_id!r}")
+        seen_ids.add(candidate_id)
         sel = row[1].strip().lower()
         if sel not in {"true", "false", "1", "0", "yes", "no"}:
             raise FormatError(f"manifest line {lineno}: bad selected flag {row[1]!r}")
@@ -311,7 +317,7 @@ def parse_manifest(document: str) -> list[dict]:
             raise FormatError(f"manifest line {lineno}: non-integer year") from None
         entries.append(
             {
-                "candidate_id": row[0].strip(),
+                "candidate_id": candidate_id,
                 "selected": sel in {"true", "1", "yes"},
                 "call_year": call_year,
                 "career_start_year": start,

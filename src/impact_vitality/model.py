@@ -126,12 +126,6 @@ class CitationDataset:
             )
             object.__setattr__(self, "target", target)
 
-    def publication_by_id(self, pub_id: str) -> Optional[Publication]:
-        for pub in self.publications:
-            if pub.id == pub_id:
-                return pub
-        return None
-
 
 @dataclass(frozen=True)
 class YearlyCitingCounts:

@@ -45,6 +45,16 @@ class TestValidate:
     def test_missing_file_exits_one(self, capsys):
         assert main(["validate", "/nonexistent.json"]) == 1
 
+    def test_wrong_json_type_exits_one(self, dataset_file, capsys):
+        doc = json.loads(open(dataset_file).read())
+        doc["citing_records"][0]["year"] = "2003"
+        with open(dataset_file, "w") as f:
+            json.dump(doc, f)
+        assert main(["validate", dataset_file]) == 1
+        err = capsys.readouterr().err
+        assert "citing_records[0]: 'year' must be int, got str" in err
+        assert "usage" not in err
+
 
 class TestProfile:
     def test_table5_csv_output(self, table5_csv, capsys):
@@ -113,6 +123,24 @@ class TestProfile:
         years = [int(l.split(",")[0]) for l in lines[1:]]
         assert years == [2005, 2004, 2003, 2002, 2001, 2000]
 
+    def test_reversed_year_range_is_usage_error(self, table5_csv, capsys):
+        rc = main(["profile", "--counts", table5_csv, "--from", "1994", "--to", "1990"])
+        assert rc == 2
+        assert "usage error: empty observation range [1994, 1990]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, culprit",
+        [
+            (["--window", "fixed:-100000:4"], "--window start -100000"),
+            (["--window", "fixed:1990:4", "--to", "3000000"], "--to 3000000"),
+            (["--from", "1799"], "--from 1799"),
+        ],
+    )
+    def test_years_out_of_range_are_usage_errors(self, table5_csv, extra, culprit, capsys):
+        # Unbounded, the fixed-start profile is quadratic in the year span.
+        assert main(["profile", "--counts", table5_csv, *extra]) == 2
+        assert f"usage error: {culprit} outside [1800, " in capsys.readouterr().err
+
 
 class TestIndicators:
     def test_text_output(self, dataset_file, capsys):
@@ -126,6 +154,10 @@ class TestIndicators:
         assert data["observation_year"] == 2006
         assert data["h_index"] == 2
         assert data["impact_vitality"] is not None
+
+    def test_year_out_of_range_is_usage_error(self, dataset_file, capsys):
+        assert main(["indicators", dataset_file, "--year", "3000000"]) == 2
+        assert "--year 3000000 outside" in capsys.readouterr().err
 
 
 class TestCohort:
@@ -161,6 +193,32 @@ class TestCohort:
         assert main(["cohort", manifest]) == 0
         out = capsys.readouterr().out
         assert "Selected" in out and "Minimum IV" in out
+
+    def test_call_year_before_anchor_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "late.csv").write_text("year,count\n2001,3\n2002,4\n")
+        (tmp_path / "m.csv").write_text(
+            "candidate_id,selected,call_year,career_start_year,path\nx,true,1999,,late.csv\n"
+        )
+        assert main(["cohort", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "late.csv: call year 1999 is before the window start 2001" in err
+
+    def test_duplicate_candidate_is_data_error(self, tmp_path, capsys):
+        manifest = self.make_manifest(tmp_path)
+        with open(manifest, "a") as f:
+            f.write("grow1,false,2007,2000,fluct0.csv\n")
+        assert main(["cohort", manifest]) == 1
+        assert "line 9: duplicate candidate_id 'grow1'" in capsys.readouterr().err
+
+    def test_dataset_entries_are_validated(self, tmp_path, dataset_file, capsys):
+        doc = json.loads(open(dataset_file).read())
+        doc["publications"].append(dict(doc["publications"][0]))
+        (tmp_path / "dup.json").write_text(json.dumps(doc))
+        (tmp_path / "m.csv").write_text(
+            "candidate_id,selected,call_year,career_start_year,path\nx,true,2006,,dup.json\n"
+        )
+        assert main(["cohort", str(tmp_path / "m.csv")]) == 1
+        assert "dup.json: duplicate publication id 'pA'" in capsys.readouterr().err
 
     def test_bad_manifest(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

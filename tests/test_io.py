@@ -70,6 +70,34 @@ class TestParseDataset:
         with pytest.raises(FormatError, match="year"):
             parse_dataset(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "path, value, culprit",
+        [
+            (("publications",), None, "'publications' must be list"),
+            (("citing_records",), {}, "'citing_records' must be list"),
+            (("target", "name_variants"), "smith", "'name_variants' must be list"),
+            (("citing_records", 0, "authors"), None, "'authors' must be list"),
+            (("citing_records", 0, "cited_target_pub_ids"), "p1", "must be list, got str"),
+            (("citing_records", 0, "year"), None, "'year' must be int, got NoneType"),
+            (("citing_records", 0, "year"), "abc", "'year' must be int, got str"),
+            (("publications", 0, "year"), 1992.7, "'year' must be int, got float"),
+            (("publications", 0, "year"), "2000", "'year' must be int, got str"),
+            (("publications", 0, "year"), True, "'year' must be int, got bool"),
+            (("target", "career_start_year"), "1990", "'career_start_year' must be int"),
+            (("target", "career_start_year"), False, "'career_start_year' must be int"),
+            (("target", "first_citation_year"), 2003.0, "'first_citation_year' must be int"),
+        ],
+    )
+    def test_json_types_are_strict(self, path, value, culprit):
+        doc = json.loads(MINIMAL_DOC)
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        with pytest.raises(FormatError) as info:
+            parse_dataset(json.dumps(doc))
+        assert culprit in str(info.value)
+
     def test_round_trip(self):
         target = make_target("O'Neil", "P.Q.", variants=[("oneil", "p")], career_start_year=1999)
         ds = make_dataset(
@@ -174,6 +202,16 @@ class TestParseManifest:
     def test_bad_header(self):
         with pytest.raises(FormatError, match="header"):
             parse_manifest("id,sel,year\n")
+
+    def test_duplicate_candidate_id_names_line(self):
+        doc = (
+            "candidate_id,selected,call_year,career_start_year,path\n"
+            "a,true,2004,,a.csv\n"
+            "b,false,2004,,b.csv\n"
+            " a ,false,2004,,c.csv\n"
+        )
+        with pytest.raises(FormatError, match="line 4: duplicate candidate_id 'a'"):
+            parse_manifest(doc)
 
     def test_bad_selected_flag(self):
         doc = "candidate_id,selected,call_year,career_start_year,path\na,maybe,2004,,x.csv\n"
