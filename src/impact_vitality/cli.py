@@ -1,7 +1,7 @@
 """Command-line surface: validate, profile, indicators, cohort.
 
-Exit statuses: 0 success, 1 data error, 2 usage error. Diagnostics go to
-stderr, data to stdout.
+Exit statuses: 0 success, 2 when the arguments are wrong on their own, 1
+for any other error. Diagnostics go to stderr, data to stdout.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from .indicators import (
     select_h_core,
 )
 from .model import (
-    YEAR_MIN,
     CitationDataset,
     Severity,
     _year_max,
     citation_counts_per_publication,
     has_errors,
     validate_dataset,
+    year_error,
     yearly_citing_counts,
 )
 
@@ -55,10 +55,10 @@ COHORT_ROWS = (
 
 
 class UsageError(Exception):
-    pass
+    """The arguments are wrong on their own, whatever the files hold."""
 
 
-class DataError(Exception):
+class DataError(ValueError):
     pass
 
 
@@ -67,6 +67,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError:
+        raise DataError(f"cannot decode {path} as UTF-8") from None
 
 
 def _parse(path: str, text: str, parse):
@@ -86,10 +88,10 @@ def _checked_dataset(path: str, text: str) -> CitationDataset:
 
 
 def _year_arg(name: str, year: Optional[int]) -> Optional[int]:
-    """The year itself, if it lies in [YEAR_MIN, _year_max()]. The bound caps
-    the work of the fixed-start profile, which is quadratic in its year span."""
-    if year is not None and not YEAR_MIN <= year <= _year_max():
-        raise UsageError(f"{name} {year} outside [{YEAR_MIN}, {_year_max()}]")
+    """The year itself, if it lies in [YEAR_MIN, _year_max()]."""
+    problem = year_error(name, year, _year_max())
+    if problem:
+        raise UsageError(problem)
     return year
 
 
@@ -108,7 +110,9 @@ def parse_window_arg(arg: str) -> WindowSpec:
     parts = arg.split(":")
     try:
         if parts[0] == "moving" and len(parts) == 2:
-            return MovingWindow(n=int(parts[1]))
+            window = MovingWindow(n=int(parts[1]))
+            _year_arg(f"--window {arg} reaches back to", _year_max() - window.n + 1)
+            return window
         if parts[0] == "fixed" and len(parts) in (2, 3):
             start = _year_arg("--window start", int(parts[1]))
             min_length = int(parts[2]) if len(parts) == 3 else DEFAULT_MIN_WINDOW
@@ -159,6 +163,8 @@ def cmd_profile(args) -> int:
         )
     first = _year_arg("--from", args.from_year)
     last = _year_arg("--to", args.to_year)
+    if first is not None and last is not None and first > last:
+        raise UsageError(f"empty observation range [{first}, {last}]")
     spec = parse_window_arg(args.window) if args.window else None
 
     if args.counts:
@@ -180,12 +186,7 @@ def cmd_profile(args) -> int:
             first = min(first, spec.start_year)
     if last is None:
         last = counts.max_year()
-    if first > last:
-        raise UsageError(f"empty observation range [{first}, {last}]")
-    try:
-        profile = iv_profile(counts, spec, first, last)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    profile = iv_profile(counts, spec, first, last)
     sys.stdout.write(ivio.emit_report(profile, args.format))
     return 0
 
@@ -297,10 +298,7 @@ def cmd_cohort(args) -> int:
         raise DataError(f"{args.manifest}: no candidates listed")
     base = Path(args.manifest).parent
     candidates = [_load_candidate(e, base) for e in entries]
-    try:
-        summary = cohort_summary(candidates)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    summary = cohort_summary(candidates)
 
     if args.format == "json":
         doc = {
@@ -370,10 +368,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # window/formula preconditions raised by library code
-        print(f"{PROG}: usage error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
+        # DataError, FormatError and the preconditions of library code
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .indicators import IVProfile
 from .model import (
@@ -21,6 +21,8 @@ from .model import (
     Publication,
     TargetAuthor,
     YearlyCitingCounts,
+    _year_max,
+    year_error,
 )
 
 SCHEMA_VERSION = 1
@@ -38,109 +40,89 @@ class FormatError(ValueError):
     """Malformed document or schema violation; the message names the culprit."""
 
 
-def _require(obj: dict, key: str, context: str, kind: Optional[type] = None) -> Any:
-    if key not in obj:
-        raise FormatError(f"{context}: missing required field {key!r}")
-    return obj[key] if kind is None else _typed(obj[key], kind, context, key)
+# Each object kind's fields: name -> (exact JSON types, required); bool is no
+# int here. null is accepted only where the model's default is None, and an
+# absent optional field takes the model's default.
+_STR, _INT, _LIST, _OBJ = (str,), (int,), (list,), (dict,)
+SCHEMA = {
+    "dataset": {"schema_version": (_INT, True), "target": (_OBJ, True),
+                "publications": (_LIST, True), "citing_records": (_LIST, True)},
+    "target": {"key": (_OBJ, True), "name_variants": (_LIST, False),
+               "career_start_year": ((int, type(None)), False),
+               "first_citation_year": ((int, type(None)), False)},
+    "author": {"surname": (_STR, True), "initials": (_STR, False)},
+    "publication": {"id": (_STR, True), "year": (_INT, True), "doc_type": (_STR, False),
+                    "label": ((str, type(None)), False)},
+    "citing record": {"id": (_STR, True), "year": (_INT, True), "authors": (_LIST, False),
+                      "cited_target_pub_ids": (_LIST, True), "doc_type": (_STR, False)},
+}
 
 
-def _check_fields(obj: Any, allowed: set[str], context: str) -> dict:
-    if not isinstance(obj, dict):
+def _fields(obj: Any, kind: str, context: str) -> dict:
+    """`obj` itself, once it is an object whose fields all belong to `kind`,
+    have their JSON types and include every required one."""
+    if type(obj) is not dict:
         raise FormatError(f"{context}: expected an object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise FormatError(f"{context}: unknown field {unknown[0]!r}")
+    schema = SCHEMA[kind]
+    for name, value in obj.items():
+        spec = schema.get(name)
+        if spec is None:
+            raise FormatError(f"{context}: unknown field {name!r}")
+        if type(value) not in spec[0]:
+            got = type(value).__name__
+            raise FormatError(f"{context}: {name!r} must be {spec[0][0].__name__}, got {got}")
+    for name, (_, required) in schema.items():
+        if required and name not in obj:
+            raise FormatError(f"{context}: missing required field {name!r}")
     return obj
 
 
-def _typed(value: Any, kind: type, context: str, key: str) -> Any:
-    # An exact type match: bool is a subclass of int, and JSON true is no year.
-    if type(value) is not kind:
-        raise FormatError(f"{context}: {key!r} must be {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _optional_year(obj: dict, key: str, context: str) -> Optional[int]:
-    value = obj.get(key)
-    return None if value is None else _typed(value, int, context, key)
-
-
-def _parse_author_key(obj: Any, context: str) -> AuthorKey:
-    _check_fields(obj, {"surname", "initials"}, context)
+def _author(obj: Any, context: str) -> AuthorKey:
+    fields = _fields(obj, "author", context)
     try:
-        return AuthorKey(
-            surname=str(_require(obj, "surname", context)),
-            initials=str(obj.get("initials", "")),
-        )
+        return AuthorKey(**fields)
     except ValueError as exc:
         raise FormatError(f"{context}: {exc}") from exc
 
 
 def parse_dataset(document: str) -> CitationDataset:
-    """Parse a dataset document, naming the first offending field on error."""
+    """Parse a dataset document, naming the first offending field on error.
+
+    Parsing checks each object's fields and JSON types. The rules that span
+    objects, such as that every cited id names a publication, belong to
+    `validate_dataset`: run it before the reductions.
+    """
     try:
         raw = json.loads(document)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError("malformed JSON: nested too deeply") from None
 
-    _check_fields(raw, {"schema_version", "target", "publications", "citing_records"}, "dataset")
-    version = _require(raw, "schema_version", "dataset")
-    if version != SCHEMA_VERSION:
-        raise FormatError(f"dataset: unsupported schema_version {version!r}")
+    _fields(raw, "dataset", "dataset")
+    if raw["schema_version"] != SCHEMA_VERSION:
+        raise FormatError(f"dataset: unsupported schema_version {raw['schema_version']!r}")
 
-    t = _check_fields(
-        _require(raw, "target", "dataset"),
-        {"key", "name_variants", "career_start_year", "first_citation_year"},
-        "target",
-    )
-    key = _parse_author_key(_require(t, "key", "target"), "target.key")
-    variants = frozenset(
-        _parse_author_key(v, f"target.name_variants[{i}]")
-        for i, v in enumerate(_typed(t.get("name_variants", []), list, "target", "name_variants"))
-    )
-    target = TargetAuthor(
-        key=key,
-        name_variants=variants,
-        career_start_year=_optional_year(t, "career_start_year", "target"),
-        first_citation_year=_optional_year(t, "first_citation_year", "target"),
-    )
+    t = _fields(raw["target"], "target", "target")
+    t["key"] = _author(t["key"], "target.key")
+    variants = enumerate(t.get("name_variants", ()))
+    t["name_variants"] = [_author(v, f"target.name_variants[{i}]") for i, v in variants]
+    target = TargetAuthor(**t)
 
-    publications = []
-    for i, p in enumerate(_require(raw, "publications", "dataset", list)):
-        ctx = f"publications[{i}]"
-        _check_fields(p, {"id", "year", "doc_type", "label"}, ctx)
-        publications.append(
-            Publication(
-                id=str(_require(p, "id", ctx)),
-                year=_require(p, "year", ctx, int),
-                doc_type=str(p.get("doc_type", "article")),
-                label=p.get("label"),
-            )
-        )
-    known_pub_ids = {p.id for p in publications}
+    publications = [
+        Publication(**_fields(p, "publication", f"publications[{i}]"))
+        for i, p in enumerate(raw["publications"])
+    ]
 
     records = []
-    for i, r in enumerate(_require(raw, "citing_records", "dataset", list)):
+    for i, r in enumerate(raw["citing_records"]):
         ctx = f"citing_records[{i}]"
-        _check_fields(r, {"id", "year", "authors", "cited_target_pub_ids", "doc_type"}, ctx)
-        cited = [str(x) for x in _require(r, "cited_target_pub_ids", ctx, list)]
-        for pub_id in cited:
-            if pub_id not in known_pub_ids:
-                raise FormatError(f"{ctx}: unknown publication id {pub_id!r}")
-        if not cited:
-            raise FormatError(f"{ctx}: cited_target_pub_ids is empty")
-        records.append(
-            CitingRecord(
-                id=str(_require(r, "id", ctx)),
-                year=_require(r, "year", ctx, int),
-                authors=frozenset(
-                    _parse_author_key(a, f"{ctx}.authors[{j}]")
-                    for j, a in enumerate(_typed(r.get("authors", []), list, ctx, "authors"))
-                ),
-                cited_target_pub_ids=frozenset(cited),
-                doc_type=str(r.get("doc_type", "article")),
-            )
-        )
+        _fields(r, "citing record", ctx)
+        if "authors" in r:
+            r["authors"] = [_author(a, f"{ctx}.authors[{j}]") for j, a in enumerate(r["authors"])]
+        if not all(type(pub_id) is str for pub_id in r["cited_target_pub_ids"]):
+            raise FormatError(f"{ctx}: 'cited_target_pub_ids' must hold only str")
+        records.append(CitingRecord(**r))
 
     return CitationDataset(target=target, publications=tuple(publications), citing_records=tuple(records))
 
@@ -184,21 +166,36 @@ def emit_dataset(ds: CitationDataset) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _check_year(what: str, year: Optional[int], year_max: int) -> None:
+    problem = year_error(what, year, year_max)
+    if problem:
+        raise FormatError(problem)
+
+
+def _csv_rows(document: str, what: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, row) for each row after the header, which must be
+    `header`. Blank rows are skipped; any other row must be as wide as the
+    header."""
+    reader = csv.reader(_io.StringIO(document))
+    first = next(reader, None)
+    expected = ",".join(header)
+    if first is None:
+        raise FormatError(f"{what} is empty; expected header {expected!r}")
+    if [h.strip() for h in first] != list(header):
+        raise FormatError(f"{what}: expected header {expected!r}, got {','.join(first)!r}")
+    width = len(header)
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            raise FormatError(f"{what} line {lineno}: expected {width} columns, got {len(row)}")
+        yield lineno, row
+
+
 def parse_counts(document: str) -> YearlyCitingCounts:
     """Parse a "year,count" CSV into yearly citing counts."""
-    reader = csv.reader(_io.StringIO(document))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("counts file is empty; expected header 'year,count'") from None
-    if [h.strip() for h in header] != ["year", "count"]:
-        raise FormatError(f"counts file: expected header 'year,count', got {','.join(header)!r}")
     counts: dict[int, int] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise FormatError(f"counts file line {lineno}: expected 2 columns, got {len(row)}")
+    for lineno, row in _csv_rows(document, "counts file", ("year", "count")):
         try:
             year = int(row[0])
             count = int(row[1])
@@ -209,6 +206,9 @@ def parse_counts(document: str) -> YearlyCitingCounts:
         if year in counts:
             raise FormatError(f"counts file line {lineno}: duplicate year {year}")
         counts[year] = count
+    year_max = _year_max()
+    for year in (min(counts, default=None), max(counts, default=None)):
+        _check_year("counts file: year", year, year_max)
     return YearlyCitingCounts(counts)
 
 
@@ -288,21 +288,11 @@ def parse_manifest(document: str) -> list[dict]:
     Columns: candidate_id,selected,call_year,career_start_year,path.
     career_start_year may be blank; candidate ids are unique.
     """
-    reader = csv.reader(_io.StringIO(document))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("manifest is empty") from None
-    expected = ["candidate_id", "selected", "call_year", "career_start_year", "path"]
-    if [h.strip() for h in header] != expected:
-        raise FormatError(f"manifest: expected header {','.join(expected)!r}")
+    header = ("candidate_id", "selected", "call_year", "career_start_year", "path")
+    year_max = _year_max()
     entries = []
     seen_ids: set[str] = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 5:
-            raise FormatError(f"manifest line {lineno}: expected 5 columns, got {len(row)}")
+    for lineno, row in _csv_rows(document, "manifest", header):
         candidate_id = row[0].strip()
         if candidate_id in seen_ids:
             raise FormatError(f"manifest line {lineno}: duplicate candidate_id {candidate_id!r}")
@@ -315,6 +305,8 @@ def parse_manifest(document: str) -> list[dict]:
             start: Optional[int] = int(row[3]) if row[3].strip() else None
         except ValueError:
             raise FormatError(f"manifest line {lineno}: non-integer year") from None
+        _check_year(f"manifest line {lineno}: call_year", call_year, year_max)
+        _check_year(f"manifest line {lineno}: career_start_year", start, year_max)
         entries.append(
             {
                 "candidate_id": candidate_id,

@@ -9,7 +9,7 @@ lives in `indicators`.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
@@ -23,6 +23,15 @@ def _year_max() -> int:
     import datetime
 
     return datetime.date.today().year + 1
+
+
+def year_error(what: str, year: Optional[int], year_max: int) -> Optional[str]:
+    """A message naming `what` if `year` lies outside [YEAR_MIN, year_max],
+    else None. The bound keeps the work finite: a fixed-start profile is
+    quadratic in its year span."""
+    if year is None or YEAR_MIN <= year <= year_max:
+        return None
+    return f"{what} {year} outside [{YEAR_MIN}, {year_max}]"
 
 
 def _strip_diacritics(s: str) -> str:
@@ -118,13 +127,7 @@ class CitationDataset:
         object.__setattr__(self, "citing_records", tuple(self.citing_records))
         if self.target.first_citation_year is None and self.citing_records:
             derived = min(r.year for r in self.citing_records)
-            target = TargetAuthor(
-                key=self.target.key,
-                name_variants=self.target.name_variants,
-                career_start_year=self.target.career_start_year,
-                first_citation_year=derived,
-            )
-            object.__setattr__(self, "target", target)
+            object.__setattr__(self, "target", replace(self.target, first_citation_year=derived))
 
 
 @dataclass(frozen=True)
@@ -166,30 +169,33 @@ def validate_dataset(ds: CitationDataset) -> list[Finding]:
     """Check dataset invariants; returns an empty list iff all hold.
 
     ERROR findings break the contracts the computations rely on (referential
-    integrity, duplicate ids, empty cited-id sets). WARNING findings are
-    data-quality oddities the indicator tolerates, e.g. a citing year earlier
-    than the earliest cited publication year.
+    integrity, duplicate ids, empty cited-id sets, years out of range).
+    WARNING findings are data-quality oddities the indicator tolerates, e.g.
+    a citing year earlier than the earliest cited publication year.
     """
     findings: list[Finding] = []
     err = lambda msg: findings.append(Finding(Severity.ERROR, msg))
     warn = lambda msg: findings.append(Finding(Severity.WARNING, msg))
 
     year_max = _year_max()
-    seen_pub_ids: set[str] = set()
-    for pub in ds.publications:
-        if pub.id in seen_pub_ids:
-            err(f"duplicate publication id {pub.id!r}")
-        seen_pub_ids.add(pub.id)
-        if not (YEAR_MIN <= pub.year <= year_max):
-            err(f"publication {pub.id!r} year {pub.year} outside [{YEAR_MIN}, {year_max}]")
 
-    pub_years = {pub.id: pub.year for pub in ds.publications}
+    def check_year(what: str, year: Optional[int]) -> None:
+        if problem := year_error(what, year, year_max):
+            err(problem)
+
+    pub_years: dict[str, int] = {}
+    for pub in ds.publications:
+        if pub.id in pub_years:
+            err(f"duplicate publication id {pub.id!r}")
+        pub_years[pub.id] = pub.year
+        check_year(f"publication {pub.id!r} year", pub.year)
 
     seen_rec_ids: set[str] = set()
     for rec in ds.citing_records:
         if rec.id in seen_rec_ids:
             err(f"duplicate citing record id {rec.id!r}")
         seen_rec_ids.add(rec.id)
+        check_year(f"citing record {rec.id!r} year", rec.year)
         if not rec.cited_target_pub_ids:
             err(f"citing record {rec.id!r} cites no target publication")
         for pub_id in sorted(rec.cited_target_pub_ids):
@@ -201,14 +207,14 @@ def validate_dataset(ds: CitationDataset) -> list[Finding]:
                     f"{pub_id!r} published {pub_years[pub_id]}"
                 )
 
+    earliest_citing = min((r.year for r in ds.citing_records), default=None)
+    check_year("target career_start_year", ds.target.career_start_year)
+    if ds.target.first_citation_year != earliest_citing:  # else a record's year, checked above
+        check_year("target first_citation_year", ds.target.first_citation_year)
+
     start = ds.target.career_start_year
-    if start is not None and ds.citing_records:
-        earliest_citing = min(r.year for r in ds.citing_records)
-        if start > earliest_citing + 1:
-            warn(
-                f"career_start_year {start} is after the earliest citing year "
-                f"{earliest_citing}"
-            )
+    if start is not None and earliest_citing is not None and start > earliest_citing + 1:
+        warn(f"career_start_year {start} is after the earliest citing year {earliest_citing}")
 
     return findings
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import impact_vitality
 from impact_vitality import YearlyCitingCounts, emit_counts, emit_dataset
 from impact_vitality.cli import main
 
@@ -54,6 +59,17 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "citing_records[0]: 'year' must be int, got str" in err
         assert "usage" not in err
+
+    def test_lists_every_unknown_cited_id(self, dataset_file, capsys):
+        doc = json.loads(open(dataset_file).read())
+        doc["citing_records"][0]["cited_target_pub_ids"] = ["ghost"]
+        doc["citing_records"][1]["cited_target_pub_ids"] = ["pA", "phantom"]
+        with open(dataset_file, "w") as f:
+            json.dump(doc, f)
+        assert main(["validate", dataset_file]) == 1
+        out = capsys.readouterr().out
+        assert "ERROR: citing record 'c0' references unknown publication 'ghost'" in out
+        assert "ERROR: citing record 'c1' references unknown publication 'phantom'" in out
 
 
 class TestProfile:
@@ -224,3 +240,84 @@ class TestCohort:
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n")
         assert main(["cohort", str(bad)]) == 1
+
+
+@pytest.fixture
+def empty_dataset_file(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(emit_dataset(make_dataset([("pA", 2000)], [])))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("undecodable", 1),
+        ("year_before_data", 1),
+        ("cites_only_ghost", 1),
+        ("most_cited_of_nothing", 1),
+        ("to_before_data", 1),
+        ("reversed_range", 2),
+        ("unknown_filter", 2),
+        ("year_out_of_range", 2),
+    ],
+)
+def test_exit_code_rule(case, code, tmp_path, table5_csv, dataset_file, empty_dataset_file, capsys):
+    """2 when the arguments are wrong on their own, 1 for anything else."""
+    undecodable = tmp_path / "bom.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    argv = {
+        "undecodable": ["validate", str(undecodable)],
+        "year_before_data": ["indicators", dataset_file, "--year", "1995"],
+        "cites_only_ghost": ["profile", dataset_file, "--filter", "cites-only:ghost"],
+        "most_cited_of_nothing": ["profile", empty_dataset_file, "--filter", "cites-only:most-cited"],
+        "to_before_data": ["profile", "--counts", table5_csv, "--to", "1980"],
+        "reversed_range": ["profile", "--counts", table5_csv, "--from", "1994", "--to", "1990"],
+        "unknown_filter": ["profile", dataset_file, "--filter", "bogus"],
+        "year_out_of_range": ["indicators", dataset_file, "--year", "3000000"],
+    }[case]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("impact-vitality:")
+    assert "Traceback" not in err
+
+
+def _dataset_with_record_years(path, years):
+    ds = make_dataset([("pA", 1990)], [(f"c{i}", y, {"pA"}) for i, y in enumerate(years)])
+    path.write_text(emit_dataset(ds))
+
+
+@pytest.mark.parametrize(
+    "case, code, culprit",
+    [
+        ("counts_years", 1, "c.csv"),
+        ("manifest_call_year", 1, "m.csv"),
+        ("record_years", 1, "d.json"),
+        ("moving_window", 2, "moving:100000000"),
+    ],
+)
+def test_huge_year_spans_stop_early(case, code, culprit, tmp_path):
+    """Each input once ran for minutes in the fixed-start or moving window
+    loop. A subprocess with a timeout turns a regression into a failure
+    rather than a hung test run."""
+    (tmp_path / "c.csv").write_text("year,count\n1,3\n20000,4\n")
+    (tmp_path / "ok.csv").write_text("year,count\n2001,3\n2002,4\n")
+    (tmp_path / "m.csv").write_text(
+        "candidate_id,selected,call_year,career_start_year,path\nx,true,3000000,,ok.csv\n"
+    )
+    _dataset_with_record_years(tmp_path / "d.json", [1, 20000])
+    argv = {
+        "counts_years": ["profile", "--counts", "c.csv"],
+        "manifest_call_year": ["cohort", "m.csv"],
+        "record_years": ["profile", "d.json"],
+        "moving_window": ["profile", "--counts", "ok.csv", "--window", "moving:100000000"],
+    }[case]
+    src = str(Path(impact_vitality.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "impact_vitality.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == code
+    assert culprit in done.stderr
+    assert "Traceback" not in done.stderr

@@ -85,6 +85,27 @@ class TestValidateDataset:
         )
         assert ds.target.first_citation_year == 2003
 
+    @pytest.mark.parametrize(
+        "career_start, first_citation, record_year, culprit",
+        [
+            (None, None, 20000, "citing record 'c1' year 20000"),
+            (None, None, 1, "citing record 'c1' year 1"),
+            (1700, None, 2003, "target career_start_year 1700"),
+            (None, 3000, 2003, "target first_citation_year 3000"),
+        ],
+    )
+    def test_years_out_of_range_are_errors(self, career_start, first_citation, record_year, culprit):
+        target = TargetAuthor(
+            key=AuthorKey("smith", "ja"),
+            career_start_year=career_start,
+            first_citation_year=first_citation,
+        )
+        ds = make_dataset([("p1", 1990)], [("c1", record_year, {"p1"})], target=target)
+        errors = [f.message for f in validate_dataset(ds) if f.severity is Severity.ERROR]
+        # A derived first_citation_year is a record's year and is reported once, as such.
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{culprit} outside [1800, ")
+
 
 class TestYearlyCitingCounts:
     def test_direct_count(self):
