@@ -69,6 +69,8 @@ def _read(path: str) -> str:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError:
         raise DataError(f"cannot decode {path} as UTF-8") from None
+    except ValueError as exc:  # a path the OS cannot take, e.g. with a NUL byte
+        raise DataError(f"cannot read {path!r}: {exc}") from None
 
 
 def _parse(path: str, text: str, parse):

@@ -92,7 +92,9 @@ def profile_fluctuation(
 def _range_stat(values: list[float]) -> Optional[RangeStat]:
     if not values:
         return None
-    return RangeStat(min=min(values), max=max(values), mean=fmean(values))
+    low, high = min(values), max(values)
+    # fmean rounds, so the mean of equal values can land one ulp outside them
+    return RangeStat(min=low, max=high, mean=min(max(fmean(values), low), high))
 
 
 def _mean_citing(counts: YearlyCitingCounts, first_year: int, last_year: int) -> float:

@@ -11,7 +11,9 @@ factor.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -20,6 +22,7 @@ from .model import YearlyCitingCounts
 DEFAULT_MIN_WINDOW = 4  # growing windows shorter than this are not reported
 
 
+@functools.lru_cache(maxsize=None)
 def harmonic(n: int) -> float:
     return sum(1.0 / i for i in range(1, n + 1))
 
@@ -43,12 +46,12 @@ def impact_vitality(counts: Sequence[int]) -> float:
     n = len(counts)
     if n < 2:
         raise ValueError(f"window length must be >= 2, got {n}")
-    if any(c < 0 for c in counts):
+    if min(counts) < 0:
         raise ValueError("citing counts must be non-negative")
     total = sum(counts)
     if total <= 0:
         raise ValueError("window total must be positive")
-    weighted = sum(c / i for i, c in enumerate(counts, start=1))
+    weighted = sum(map(operator.truediv, counts, range(1, n + 1)))
     return (n * (weighted / total) - 1.0) / (harmonic(n) - 1.0)
 
 
@@ -128,17 +131,21 @@ def iv_profile(
             f"window start {spec.start_year} is after the last observation year {last_year}"
         )
 
+    # One list of counts, newest year first, from the last observation year
+    # back to the oldest window start; each window is a slice of it.
+    moving = isinstance(spec, MovingWindow)
+    if moving:
+        oldest = first_year - spec.n + 1
+    else:
+        oldest = spec.start_year
+        first_year = max(first_year, oldest + spec.min_length - 1)  # shorter windows skipped
+    newest = [counts.get(y) for y in range(last_year, oldest - 1, -1)]
+
     points: list[IVPoint] = []
     for y_t in range(first_year, last_year + 1):
-        if isinstance(spec, MovingWindow):
-            n = spec.n
-            window_start = y_t - n + 1
-        else:
-            n = y_t - spec.start_year + 1
-            window_start = spec.start_year
-            if n < spec.min_length:
-                continue
-        window = [counts.get(y) for y in range(y_t, window_start - 1, -1)]
+        n = spec.n if moving else y_t - oldest + 1
+        k = last_year - y_t
+        window = newest[k:k + n]
         total = sum(window)
         if total == 0:
             continue
@@ -148,7 +155,7 @@ def iv_profile(
                 window_length=n,
                 value=impact_vitality(window),
                 total_citing=total,
-                zero_year_flag=any(c == 0 for c in window),
+                zero_year_flag=0 in window,
             )
         )
     return IVProfile(points=tuple(points), window_spec=spec)

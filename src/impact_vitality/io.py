@@ -27,6 +27,8 @@ from .model import (
 
 SCHEMA_VERSION = 1
 
+MAX_COUNT = 2**53 - 1  # the largest integer a float holds exactly
+
 REPORT_FIELDS = (
     "observation_year",
     "window_length",
@@ -184,12 +186,15 @@ def _csv_rows(document: str, what: str, header: tuple[str, ...]) -> Iterator[tup
     if [h.strip() for h in first] != list(header):
         raise FormatError(f"{what}: expected header {expected!r}, got {','.join(first)!r}")
     width = len(header)
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != width:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            raise FormatError(f"{what} line {lineno}: expected {width} columns, got {len(row)}")
-        yield lineno, row
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                raise FormatError(f"{what} line {lineno}: expected {width} columns, got {len(row)}")
+            yield lineno, row
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise FormatError(f"{what} line {reader.line_num}: {exc}") from None
 
 
 def parse_counts(document: str) -> YearlyCitingCounts:
@@ -203,6 +208,8 @@ def parse_counts(document: str) -> YearlyCitingCounts:
             raise FormatError(f"counts file line {lineno}: non-integer value") from None
         if count < 0:
             raise FormatError(f"counts file line {lineno}: negative count {count}")
+        if count > MAX_COUNT:
+            raise FormatError(f"counts file line {lineno}: count above {MAX_COUNT}")
         if year in counts:
             raise FormatError(f"counts file line {lineno}: duplicate year {year}")
         counts[year] = count

@@ -249,8 +249,13 @@ def citation_counts_per_publication(ds: CitationDataset, fs: "FilterSet") -> dic
 
     surviving = apply_filters(ds, fs)
     counts = {pub.id: 0 for pub in ds.publications}
-    for rec in ds.citing_records:
-        if rec.id in surviving:
-            for pub_id in rec.cited_target_pub_ids:
-                counts[pub_id] += 1
+    try:
+        for rec in ds.citing_records:
+            if rec.id in surviving:
+                for pub_id in rec.cited_target_pub_ids:
+                    counts[pub_id] += 1
+    except KeyError:  # a dataset that skipped validate_dataset
+        raise ValueError(
+            f"citing record {rec.id!r} references unknown publication {pub_id!r}"
+        ) from None
     return counts

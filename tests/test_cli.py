@@ -282,6 +282,37 @@ def test_exit_code_rule(case, code, tmp_path, table5_csv, dataset_file, empty_da
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "case, culprit",
+    [
+        ("huge_count", "huge.csv: counts file line 5: count above 9007199254740991"),
+        ("huge_count_in_cohort", "huge.csv: counts file line 5: count above 9007199254740991"),
+        ("overlong_field", "wide.csv: counts file line 2: field larger than field limit"),
+        ("nul_in_manifest_path", "a\\x00b.csv': embedded null byte"),
+    ],
+)
+def test_inputs_that_crashed_are_data_errors(case, culprit, tmp_path, capsys):
+    """A count too large for a float and a CSV field over the csv module's
+    size limit once ended in a traceback; a manifest path with a NUL byte
+    gave a message that named no file."""
+    (tmp_path / "huge.csv").write_text(f"year,count\n2000,1\n2001,1\n2002,1\n2003,{10**400}\n")
+    (tmp_path / "wide.csv").write_text("year,count\n2000," + "1" * 200_000 + "\n")
+    header = "candidate_id,selected,call_year,career_start_year,path\n"
+    (tmp_path / "m_huge.csv").write_text(header + "x,true,2005,,huge.csv\n")
+    (tmp_path / "m_nul.csv").write_text(header + "x,true,2005,,a\x00b.csv\n")
+    argv = {
+        "huge_count": ["profile", "--counts", str(tmp_path / "huge.csv")],
+        "huge_count_in_cohort": ["cohort", str(tmp_path / "m_huge.csv")],
+        "overlong_field": ["profile", "--counts", str(tmp_path / "wide.csv")],
+        "nul_in_manifest_path": ["cohort", str(tmp_path / "m_nul.csv")],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("impact-vitality: error:")
+    assert culprit in err
+    assert "Traceback" not in err
+
+
 def _dataset_with_record_years(path, years):
     ds = make_dataset([("pA", 1990)], [(f"c{i}", y, {"pA"}) for i, y in enumerate(years)])
     path.write_text(emit_dataset(ds))

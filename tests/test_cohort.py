@@ -5,6 +5,7 @@ from impact_vitality import (
     FixedStart,
     IVPoint,
     IVProfile,
+    RangeStat,
     YearlyCitingCounts,
     all_above,
     cohort_summary,
@@ -161,6 +162,12 @@ class TestCohortSummary:
             for r in (stats.min_iv_range, stats.fluctuation_range, stats.citing_per_year_last5):
                 if r is not None:
                     assert r.min <= r.mean <= r.max
+
+    def test_equal_values_give_their_own_mean(self):
+        # fmean([x] * 5) is x plus one ulp for this x
+        x = 0.8760103519345847
+        stats = cohort_summary([candidate(f"c{i}", True, [x] * 5) for i in range(5)])["selected"]
+        assert stats.min_iv_range == RangeStat(x, x, x)
 
     def test_rejects_empty_cohort(self):
         with pytest.raises(ValueError):

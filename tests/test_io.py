@@ -142,6 +142,11 @@ class TestParseCounts:
         with pytest.raises(FormatError, match="negative"):
             parse_counts("year,count\n2007,-3\n")
 
+    def test_count_limit_is_the_largest_exact_float_integer(self):
+        assert parse_counts(f"year,count\n2007,{2**53 - 1}\n").counts == {2007: 2**53 - 1}
+        with pytest.raises(FormatError, match="line 3: count above 9007199254740991"):
+            parse_counts(f"year,count\n2006,1\n2007,{2**53}\n")
+
     def test_round_trip(self):
         counts = YearlyCitingCounts(TABLE5_COUNTS["all"])
         assert parse_counts(emit_counts(counts)).counts == counts.counts

@@ -5,6 +5,7 @@ from impact_vitality import (
     TargetAuthor,
     YearlyCitingCounts,
     citation_counts_per_publication,
+    most_cited_publication,
     validate_dataset,
     yearly_citing_counts,
 )
@@ -167,3 +168,14 @@ class TestCitationCountsPerPublication:
         )
         per_pub = citation_counts_per_publication(ds, EMPTY)
         assert sum(per_pub.values()) >= len(ds.citing_records)
+
+    @pytest.mark.parametrize("reduce", [
+        lambda ds: citation_counts_per_publication(ds, EMPTY),
+        most_cited_publication,
+    ])
+    def test_unknown_cited_id_names_record_and_id(self, reduce):
+        # construction does not check cited ids; validate_dataset does
+        ds = make_dataset([("pA", 2000)], [("c1", 2003, {"pA"}), ("c2", 2004, {"ghost"})])
+        message = "citing record 'c2' references unknown publication 'ghost'"
+        with pytest.raises(ValueError, match=message):
+            reduce(ds)

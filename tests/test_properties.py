@@ -95,6 +95,71 @@ def test_profile_consistent_with_direct_formula(counts_map, n):
         assert pt.zero_year_flag == (0 in window)
 
 
+def _reference_iv(window):
+    """The Impact Vitality formula as first written: generator sums and an
+    uncached harmonic number."""
+    n = len(window)
+    weighted = sum(c / i for i, c in enumerate(window, start=1))
+    harmonic = sum(1.0 / i for i in range(1, n + 1))
+    return (n * (weighted / sum(window)) - 1.0) / (harmonic - 1.0)
+
+
+def _reference_profile(counts_map, spec, first, last):
+    """iv_profile as first written: one dict lookup per window cell."""
+    points = []
+    for y_t in range(first, last + 1):
+        if isinstance(spec, MovingWindow):
+            n, start = spec.n, y_t - spec.n + 1
+        else:
+            n, start = y_t - spec.start_year + 1, spec.start_year
+            if n < spec.min_length:
+                continue
+        window = [counts_map.get(y, 0) for y in range(y_t, start - 1, -1)]
+        if sum(window) == 0:
+            continue
+        zero_year = any(c == 0 for c in window)
+        points.append((y_t, n, _reference_iv(window).hex(), sum(window), zero_year))
+    return points
+
+
+sparse_counts = st.dictionaries(
+    st.integers(min_value=1980, max_value=2020),
+    st.one_of(
+        st.just(0),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=2**53 - 1),
+    ),
+    max_size=25,
+)
+window_specs = st.one_of(
+    st.builds(MovingWindow, st.integers(min_value=2, max_value=15)),
+    st.builds(
+        FixedStart,
+        st.integers(min_value=1970, max_value=2025),
+        st.integers(min_value=2, max_value=8),
+    ),
+)
+
+
+@given(
+    sparse_counts,
+    window_specs,
+    st.integers(min_value=1970, max_value=2030),
+    st.integers(min_value=0, max_value=50),
+)
+def test_profile_is_bit_identical_to_reference_formula(counts_map, spec, first, span):
+    """Ranges may begin before the window start or the first counted year,
+    and sparse counts leave some windows with a zero total."""
+    last = first + span
+    assume(not isinstance(spec, FixedStart) or spec.start_year <= last)
+    profile = iv_profile(YearlyCitingCounts(counts_map), spec, first, last)
+    got = [
+        (p.observation_year, p.window_length, p.value.hex(), p.total_citing, p.zero_year_flag)
+        for p in profile.points
+    ]
+    assert got == _reference_profile(counts_map, spec, first, last)
+
+
 @given(year_counts)
 def test_fixed_start_profile_years_increase(counts_map):
     counts = YearlyCitingCounts(counts_map)
