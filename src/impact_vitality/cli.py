@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -198,17 +199,20 @@ def cmd_indicators(args) -> int:
     ds = _checked_dataset(args.dataset, _read(args.dataset))
     if not ds.citing_records:
         raise DataError("dataset has no citing records")
+    if year is None:
+        year = max(r.year for r in ds.citing_records)
+    # As of `year`: only the records dated by then count, and only the
+    # publications out by then enter the h-core.
+    ds = replace(ds, citing_records=[r for r in ds.citing_records if r.year <= year])
+    if not ds.citing_records:
+        raise DataError(f"{args.dataset}: no citing records dated {year} or earlier")
     fs = FilterSet()
     per_pub = citation_counts_per_publication(ds, fs)
     counts = yearly_citing_counts(ds, fs)
-    if year is None:
-        year = counts.max_year()
 
-    h = h_index(list(per_pub.values()))
-    core = select_h_core(
-        [(p.id, per_pub[p.id], p.year) for p in ds.publications], year
-    )
-    ar = ar_index(core)
+    pubs = [(p.id, per_pub[p.id], p.year) for p in ds.publications if p.year <= year]
+    h = h_index([cites for _, cites, _ in pubs])
+    ar = ar_index(select_h_core(pubs, year))
 
     spec = _growing_window(counts, ds)
     first = min(counts.min_year(), spec.start_year)

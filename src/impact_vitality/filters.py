@@ -71,18 +71,23 @@ def apply_filters(ds: CitationDataset, fs: FilterSet) -> set[str]:
         )
 
     surviving: set[str] = set()
-    for rec in ds.citing_records:
-        if rec.id in fs.exclude_ids:
-            continue
-        if fs.exclude_self_citations and is_self_citing(rec, ds.target):
-            continue
-        if fs.exclude_citing_only is not None and cites_only(rec, fs.exclude_citing_only):
-            continue
-        if fs.citing_doc_types is not None and rec.doc_type not in fs.citing_doc_types:
-            continue
-        if fs.cited_doc_types is not None and not any(
-            pub_types[pid] in fs.cited_doc_types for pid in rec.cited_target_pub_ids
-        ):
-            continue
-        surviving.add(rec.id)
+    try:
+        for rec in ds.citing_records:
+            if rec.id in fs.exclude_ids:
+                continue
+            if fs.exclude_self_citations and is_self_citing(rec, ds.target):
+                continue
+            if fs.exclude_citing_only is not None and cites_only(rec, fs.exclude_citing_only):
+                continue
+            if fs.citing_doc_types is not None and rec.doc_type not in fs.citing_doc_types:
+                continue
+            if fs.cited_doc_types is not None and not any(
+                pub_types[pid] in fs.cited_doc_types for pid in rec.cited_target_pub_ids
+            ):
+                continue
+            surviving.add(rec.id)
+    except KeyError as exc:  # a dataset that skipped validate_dataset
+        raise ValueError(
+            f"citing record {rec.id!r} references unknown publication {exc.args[0]!r}"
+        ) from None
     return surviving

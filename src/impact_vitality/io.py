@@ -79,12 +79,19 @@ def _fields(obj: Any, kind: str, context: str) -> dict:
     return obj
 
 
-def _author(obj: Any, context: str) -> AuthorKey:
+def _author(obj: Any, context: str, keys: dict[tuple[str, str], AuthorKey]) -> AuthorKey:
+    """The key for one author object. `keys` maps each raw (surname, initials)
+    pair seen so far in the document to its key, so each distinct name is
+    normalized once; a pair that fails normalization is not stored."""
     fields = _fields(obj, "author", context)
-    try:
-        return AuthorKey(**fields)
-    except ValueError as exc:
-        raise FormatError(f"{context}: {exc}") from exc
+    pair = (fields["surname"], fields.get("initials", ""))
+    key = keys.get(pair)
+    if key is None:
+        try:
+            key = keys[pair] = AuthorKey(*pair)
+        except ValueError as exc:
+            raise FormatError(f"{context}: {exc}") from exc
+    return key
 
 
 def parse_dataset(document: str) -> CitationDataset:
@@ -105,10 +112,11 @@ def parse_dataset(document: str) -> CitationDataset:
     if raw["schema_version"] != SCHEMA_VERSION:
         raise FormatError(f"dataset: unsupported schema_version {raw['schema_version']!r}")
 
+    keys: dict[tuple[str, str], AuthorKey] = {}
     t = _fields(raw["target"], "target", "target")
-    t["key"] = _author(t["key"], "target.key")
+    t["key"] = _author(t["key"], "target.key", keys)
     variants = enumerate(t.get("name_variants", ()))
-    t["name_variants"] = [_author(v, f"target.name_variants[{i}]") for i, v in variants]
+    t["name_variants"] = [_author(v, f"target.name_variants[{i}]", keys) for i, v in variants]
     target = TargetAuthor(**t)
 
     publications = [
@@ -121,7 +129,9 @@ def parse_dataset(document: str) -> CitationDataset:
         ctx = f"citing_records[{i}]"
         _fields(r, "citing record", ctx)
         if "authors" in r:
-            r["authors"] = [_author(a, f"{ctx}.authors[{j}]") for j, a in enumerate(r["authors"])]
+            r["authors"] = [
+                _author(a, f"{ctx}.authors[{j}]", keys) for j, a in enumerate(r["authors"])
+            ]
         if not all(type(pub_id) is str for pub_id in r["cited_target_pub_ids"]):
             raise FormatError(f"{ctx}: 'cited_target_pub_ids' must hold only str")
         records.append(CitingRecord(**r))

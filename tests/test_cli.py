@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +176,58 @@ class TestIndicators:
     def test_year_out_of_range_is_usage_error(self, dataset_file, capsys):
         assert main(["indicators", dataset_file, "--year", "3000000"]) == 2
         assert "--year 3000000 outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_year_sees_only_data_up_to_it(self, seed, tmp_path, capsys):
+        """h and AR as of Y, from brute force over the records dated <= Y and
+        the publications dated <= Y."""
+        rng = random.Random(seed)
+        pubs = [(f"p{i}", rng.randint(1990, 2005)) for i in range(rng.randint(3, 12))]
+        records = []
+        for i in range(rng.randint(20, 120)):
+            year = rng.randint(1991, 2010)
+            cited = {pid for pid, pub_year in rng.sample(pubs, rng.randint(1, 3)) if pub_year <= year}
+            if cited:
+                records.append((f"c{i}", year, cited))
+        path = tmp_path / "ds.json"
+        path.write_text(emit_dataset(make_dataset(pubs, records)))
+        pub_years = dict(pubs)
+
+        for year in sorted({1996, 1999, 2002, 2005, 2010, max(r[1] for r in records)}):
+            if year < min(r[1] for r in records):
+                continue
+            cites = {
+                pid: sum(1 for _, rec_year, cited in records if rec_year <= year and pid in cited)
+                for pid, pub_year in pubs
+                if pub_year <= year
+            }
+            h = max(k for k in range(len(cites) + 1) if sum(c >= k for c in cites.values()) >= k)
+            core = sorted(cites, key=lambda pid: (-cites[pid], -pub_years[pid], pid))[:h]
+            ar = math.sqrt(sum(cites[pid] / (year - pub_years[pid] + 1) for pid in core))
+
+            assert main(["indicators", str(path), "--year", str(year), "--format", "json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert (data["observation_year"], data["h_index"]) == (year, h)
+            assert data["ar_index"] == round(ar, 4)
+
+    @pytest.fixture
+    def cited_1991_to_1996(self, tmp_path):
+        """One 1990 publication, cited once a year from 1991 to 1996."""
+        ds = make_dataset([("p1", 1990)], [(f"c{y}", y, {"p1"}) for y in range(1991, 1997)])
+        path = tmp_path / "ds.json"
+        path.write_text(emit_dataset(ds))
+        return str(path)
+
+    def test_year_ignores_later_citations(self, cited_1991_to_1996, capsys):
+        assert main(["indicators", cited_1991_to_1996, "--year", "1992", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["h_index"], data["ar_index"]) == (1, round(math.sqrt(2 / 3), 4))
+
+    @pytest.mark.parametrize("year", ["1985", "1990"])
+    def test_year_before_every_record_names_year_and_file(self, year, cited_1991_to_1996, capsys):
+        assert main(["indicators", cited_1991_to_1996, "--year", year]) == 1
+        err = capsys.readouterr().err
+        assert f"ds.json: no citing records dated {year} or earlier" in err
 
 
 class TestCohort:

@@ -1,13 +1,16 @@
-"""Fuzz `main()` on counts files and cohort manifests.
+"""Fuzz `main()` on counts files, cohort manifests and dataset JSON.
 
 Every input must end in exit 0, 1 or 2; a non-zero exit prints a message
-starting with `impact-vitality:` on stderr, and no exception escapes. The
+starting with `impact-vitality:` on stderr (or, from `validate`, ERROR
+findings on stdout), and no exception escapes. The
 generators mostly build near-valid files, so that many runs get past the
-header and reach the kernel and the cohort statistics.
+header or the schema and reach the kernel, the filters and the cohort
+statistics.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +75,51 @@ def _document(header, row, max_rows):
 counts_files = _document(COUNTS_HEADER, st.tuples(years, counts).map(list), 12)
 manifest_files = _document(MANIFEST_HEADER, manifest_rows, 3)
 
+# Dataset JSON: a valid document with repeated and accented names, then, in
+# about half the documents, up to three fields set to a junk value (a wrong
+# JSON type, an empty or combining-mark-only surname, an unknown or duplicate
+# id, a year out of range) or an unknown field added.
+json_junk = st.sampled_from(
+    [None, True, 0, -1, 1799, 3000000, 2**64, 2001.5, "", " ", "\u0301", "2001", "ghost", "p0",
+     [], ["ghost"], [{"surname": ""}], {}]
+)
+names = st.fixed_dictionaries(
+    {"surname": st.sampled_from(["Smith", "smith", "SMITH", "Müller", "muller", "Núñez", "Lee"])},
+    optional={"initials": st.sampled_from(["ja", "J.A.", "j", "", "é"])},
+)
+
+
+@st.composite
+def dataset_documents(draw):
+    pubs = [
+        {"id": f"p{i}", "year": draw(st.integers(min_value=1990, max_value=2005))}
+        for i in range(draw(st.integers(min_value=1, max_value=4)))
+    ]
+    pub_ids = st.lists(st.sampled_from([p["id"] for p in pubs]), min_size=1, max_size=3)
+    records = [
+        {
+            "id": f"c{i}",
+            "year": draw(st.integers(min_value=1991, max_value=2010)),
+            "authors": draw(st.lists(names, max_size=3)),
+            "cited_target_pub_ids": draw(pub_ids),
+        }
+        for i in range(draw(st.integers(min_value=0, max_value=25)))
+    ]
+    target = {"key": draw(names), "name_variants": draw(st.lists(names, max_size=2))}
+    if draw(st.booleans()):
+        target["career_start_year"] = draw(st.integers(min_value=1985, max_value=2005))
+    doc = {"schema_version": 1, "target": target, "publications": pubs, "citing_records": records}
+
+    objects = [doc, target, target["key"], *target["name_variants"], *pubs, *records]
+    objects += [a for r in records for a in r["authors"]]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        obj = draw(st.sampled_from(objects))
+        obj[draw(st.sampled_from([*obj, "extra"]))] = draw(json_junk)
+    return json.dumps(doc).encode("utf-8")
+
+
+dataset_files = mostly(dataset_documents(), st.binary(max_size=120))
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -93,13 +141,13 @@ def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _check(argv):
-    code, err = _run(argv)
+    code, out, err = _run(argv)
     assert code in (0, 1, 2)
-    if code:
+    if code and not (argv[0] == "validate" and "ERROR: " in out):
         assert err.startswith("impact-vitality:"), err
 
 
@@ -113,3 +161,15 @@ def test_main_never_raises_on_csv_inputs(workdir, counts_bytes, manifest_bytes):
     _check(["profile", "--counts", counts_path, "--window", "moving:3"])
     _check(["cohort", manifest_path])
     _check(["cohort", manifest_path, "--format", "json"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset_files, st.integers(min_value=1990, max_value=2012))
+def test_main_never_raises_on_dataset_json(workdir, dataset_bytes, year):
+    (workdir / "fuzz.json").write_bytes(dataset_bytes)
+    path = str(workdir / "fuzz.json")
+    _check(["validate", path])
+    _check(["profile", path, "--format", "json"])
+    _check(["profile", path, "--filter", "self-citations", "--filter", "cites-only:most-cited"])
+    _check(["indicators", path])
+    _check(["indicators", path, "--year", str(year), "--format", "json"])

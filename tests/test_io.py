@@ -3,6 +3,7 @@ import json
 import pytest
 
 from impact_vitality import (
+    AuthorKey,
     FixedStart,
     FormatError,
     YearlyCitingCounts,
@@ -97,6 +98,58 @@ class TestParseDataset:
         with pytest.raises(FormatError) as info:
             parse_dataset(json.dumps(doc))
         assert culprit in str(info.value)
+
+    def _with_authors(self, authors):
+        """MINIMAL_DOC with one record per list of author objects in `authors`."""
+        doc = json.loads(MINIMAL_DOC)
+        record = doc["citing_records"][0]
+        doc["citing_records"] = [
+            dict(record, id=f"c{i}", authors=names) for i, names in enumerate(authors)
+        ]
+        return doc
+
+    def test_repeated_names_parse_like_fresh_keys(self):
+        names = [
+            {"surname": "Müller", "initials": "J.A."},
+            {"surname": "MULLER", "initials": "ja"},
+            {"surname": "Smith"},
+            {"surname": "SMITH", "initials": ""},
+            {"surname": " smith ", "initials": "J A"},
+            {"surname": "Müller", "initials": "J.A."},
+        ]
+        doc = self._with_authors([names[:3], names[3:], names[::2], names[1::2]])
+        ds = parse_dataset(json.dumps(doc))
+        for rec, raw in zip(ds.citing_records, doc["citing_records"]):
+            assert rec.authors == {AuthorKey(**obj) for obj in raw["authors"]}
+        muller, smith = AuthorKey("muller", "ja"), AuthorKey("smith")
+        assert ds.citing_records[0].authors == {muller, smith}
+        assert ds.citing_records[3].authors == {muller, smith}  # other spellings
+
+    def test_identical_raw_names_share_one_key(self):
+        name = {"surname": "Núñez", "initials": "M."}
+        doc = self._with_authors([[name], [name, {"surname": "Lee"}], [], [name]])
+        doc["target"]["name_variants"] = [name]
+        ds = parse_dataset(json.dumps(doc))
+        keys = [k for r in ds.citing_records for k in r.authors if k.surname == "nunez"]
+        variant = next(k for k in ds.target.name_variants if k.surname == "nunez")
+        assert len(keys) == 3
+        assert all(k is variant for k in keys)
+
+    @pytest.mark.parametrize(
+        "bad, culprit",
+        [
+            ({"surname": " \u0301 ", "initials": "k"}, "AuthorKey surname must be non-empty"),
+            ({"surname": "jones", "initials": 5}, "'initials' must be str, got int"),
+            ({"surname": "jones", "initials": "k", "orcid": "x"}, "unknown field 'orcid'"),
+        ],
+    )
+    def test_bad_author_names_its_own_context(self, bad, culprit):
+        # "jones k" is known by the time the bad object comes
+        good = {"surname": "jones", "initials": "k"}
+        doc = self._with_authors([[good], [good], [good], [good, bad]])
+        with pytest.raises(FormatError) as info:
+            parse_dataset(json.dumps(doc))
+        assert str(info.value) == f"citing_records[3].authors[1]: {culprit}"
 
     def test_round_trip(self):
         target = make_target("O'Neil", "P.Q.", variants=[("oneil", "p")], career_start_year=1999)
