@@ -1,8 +1,10 @@
 """Citation analytics around the Impact Vitality indicator.
 
 Computes Impact Vitality profiles over time from author-centric citation
-datasets, alongside the h-index and AR-index, with filtering (self-citations,
-single-paper citers, document types) and cohort comparison statistics.
+datasets, alongside the h-index and AR-index, with the paper's two filter
+clauses (self-citations, records citing only one paper) and cohort
+comparison statistics. Document types are carried by the dataset format,
+but no computation reads them.
 """
 
 from .cohort import (
@@ -22,7 +24,6 @@ from .indicators import (
     MovingWindow,
     WindowSpec,
     ar_index,
-    default_window_spec,
     h_index,
     impact_vitality,
     iv_profile,
@@ -79,7 +80,6 @@ __all__ = [
     "citation_counts_per_publication",
     "cites_only",
     "cohort_summary",
-    "default_window_spec",
     "emit_counts",
     "emit_dataset",
     "emit_report",

@@ -19,10 +19,10 @@ from .filters import FilterSet, most_cited_publication
 from .indicators import (
     DEFAULT_MIN_WINDOW,
     FixedStart,
+    IVProfile,
     MovingWindow,
     WindowSpec,
     ar_index,
-    default_window_spec,
     h_index,
     iv_profile,
     select_h_core,
@@ -99,14 +99,22 @@ def _year_arg(name: str, year: Optional[int]) -> Optional[int]:
 
 
 def _growing_window(counts, ds=None, career_start=None) -> FixedStart:
-    """The default window: it starts at the career start (given, else the
-    dataset's), else at the dataset's first citation year, else at the first
-    counted year."""
-    if ds is None:
-        return default_window_spec(career_start, counts.min_year())
-    if career_start is None:
-        career_start = ds.target.career_start_year
-    return default_window_spec(career_start, ds.target.first_citation_year)
+    """The default window, a growing one. It starts at the first known of
+    these: the given career start, the dataset's career start, the dataset's
+    first citation year and the first counted year. `counts` is not empty."""
+    anchors = [career_start]
+    if ds is not None:
+        anchors += [ds.target.career_start_year, ds.target.first_citation_year]
+    anchors.append(counts.min_year())
+    return FixedStart(start_year=next(year for year in anchors if year is not None))
+
+
+def _profile(path: str, counts, spec: WindowSpec, first: int, last: int) -> IVProfile:
+    """`iv_profile`, with its errors naming the file `counts` came from."""
+    try:
+        return iv_profile(counts, spec, first, last)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def parse_window_arg(arg: str) -> WindowSpec:
@@ -170,11 +178,12 @@ def cmd_profile(args) -> int:
         raise UsageError(f"empty observation range [{first}, {last}]")
     spec = parse_window_arg(args.window) if args.window else None
 
+    path = args.counts or args.dataset
     if args.counts:
-        counts = _parse(args.counts, _read(args.counts), ivio.parse_counts)
+        counts = _parse(path, _read(path), ivio.parse_counts)
         ds = None
     else:
-        ds = _checked_dataset(args.dataset, _read(args.dataset))
+        ds = _checked_dataset(path, _read(path))
         fs = parse_filter_args(args.filter or [], ds)
         counts = yearly_citing_counts(ds, fs)
 
@@ -189,7 +198,7 @@ def cmd_profile(args) -> int:
             first = min(first, spec.start_year)
     if last is None:
         last = counts.max_year()
-    profile = iv_profile(counts, spec, first, last)
+    profile = _profile(path, counts, spec, first, last)
     sys.stdout.write(ivio.emit_report(profile, args.format))
     return 0
 
@@ -216,7 +225,7 @@ def cmd_indicators(args) -> int:
 
     spec = _growing_window(counts, ds)
     first = min(counts.min_year(), spec.start_year)
-    profile = iv_profile(counts, spec, first, year)
+    profile = _profile(args.dataset, counts, spec, first, year)
     latest = profile.points[-1] if profile.points else None
 
     out = {
@@ -270,7 +279,7 @@ def _load_candidate(entry: dict, base: Path) -> CandidateProfile:
         raise DataError(
             f"{path}: call year {call_year} is before the window start {spec.start_year}"
         )
-    profile = iv_profile(counts, spec, spec.start_year, call_year)
+    profile = _profile(path, counts, spec, spec.start_year, call_year)
     return CandidateProfile(
         candidate_id=entry["candidate_id"],
         selected=entry["selected"],

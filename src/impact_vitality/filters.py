@@ -1,14 +1,15 @@
-"""Declarative exclusion of citing records.
+"""Exclusion of citing records: the paper's two filter clauses.
 
-A FilterSet composes up to four clause types conjunctively: explicit id
-exclusions, self-citation exclusion, exclusion of records citing only one
-designated publication (outlier analysis), and document-type allow-sets for
-citing and cited sides.
+A FilterSet can exclude self-citing records (an author matches one of the
+target's name variants), records citing only one designated publication
+(outlier analysis), or both. Together with no filter these give the three
+regimes of the paper's Table 5. Document types are carried by the dataset
+format, but no filter reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .model import CitationDataset, CitingRecord, TargetAuthor
@@ -18,16 +19,6 @@ from .model import CitationDataset, CitingRecord, TargetAuthor
 class FilterSet:
     exclude_self_citations: bool = False
     exclude_citing_only: Optional[str] = None  # publication id
-    citing_doc_types: Optional[frozenset[str]] = None
-    cited_doc_types: Optional[frozenset[str]] = None
-    exclude_ids: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.citing_doc_types is not None:
-            object.__setattr__(self, "citing_doc_types", frozenset(self.citing_doc_types))
-        if self.cited_doc_types is not None:
-            object.__setattr__(self, "cited_doc_types", frozenset(self.cited_doc_types))
-        object.__setattr__(self, "exclude_ids", frozenset(self.exclude_ids))
 
 
 EMPTY_FILTERS = FilterSet()
@@ -59,35 +50,16 @@ def most_cited_publication(ds: CitationDataset) -> str:
 
 
 def apply_filters(ds: CitationDataset, fs: FilterSet) -> set[str]:
-    """Ids of citing records passing every active clause.
-
-    For cited_doc_types a record survives when at least one of its cited
-    publications has an allowed type.
-    """
-    pub_types = {pub.id: pub.doc_type for pub in ds.publications}
-    if fs.exclude_citing_only is not None and fs.exclude_citing_only not in pub_types:
-        raise ValueError(
-            f"exclude_citing_only references unknown publication {fs.exclude_citing_only!r}"
-        )
+    """Ids of citing records passing every active clause."""
+    citing_only = fs.exclude_citing_only
+    if citing_only is not None and all(pub.id != citing_only for pub in ds.publications):
+        raise ValueError(f"exclude_citing_only references unknown publication {citing_only!r}")
 
     surviving: set[str] = set()
-    try:
-        for rec in ds.citing_records:
-            if rec.id in fs.exclude_ids:
-                continue
-            if fs.exclude_self_citations and is_self_citing(rec, ds.target):
-                continue
-            if fs.exclude_citing_only is not None and cites_only(rec, fs.exclude_citing_only):
-                continue
-            if fs.citing_doc_types is not None and rec.doc_type not in fs.citing_doc_types:
-                continue
-            if fs.cited_doc_types is not None and not any(
-                pub_types[pid] in fs.cited_doc_types for pid in rec.cited_target_pub_ids
-            ):
-                continue
-            surviving.add(rec.id)
-    except KeyError as exc:  # a dataset that skipped validate_dataset
-        raise ValueError(
-            f"citing record {rec.id!r} references unknown publication {exc.args[0]!r}"
-        ) from None
+    for rec in ds.citing_records:
+        if fs.exclude_self_citations and is_self_citing(rec, ds.target):
+            continue
+        if citing_only is not None and cites_only(rec, citing_only):
+            continue
+        surviving.add(rec.id)
     return surviving

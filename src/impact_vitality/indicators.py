@@ -15,7 +15,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .model import YearlyCitingCounts
 
@@ -202,15 +202,3 @@ def select_h_core(
     return [
         (cites, observation_year - year + 1) for _, cites, year in ranked[:h]
     ]
-
-
-def default_window_spec(
-    career_start_year: Optional[int],
-    first_citation_year: Optional[int],
-    min_length: int = DEFAULT_MIN_WINDOW,
-) -> FixedStart:
-    """Fixed-start window anchored at the career start, else first citation."""
-    start = career_start_year if career_start_year is not None else first_citation_year
-    if start is None:
-        raise ValueError("no career start or first citation year to anchor the window")
-    return FixedStart(start_year=start, min_length=min_length)

@@ -29,12 +29,16 @@ SCHEMA_VERSION = 1
 
 MAX_COUNT = 2**53 - 1  # the largest integer a float holds exactly
 
-REPORT_FIELDS = (
-    "observation_year",
-    "window_length",
-    "iv_value",
-    "total_citing",
-    "zero_year_flag",
+# Report columns in output order: (key in `report_rows`, table heading,
+# table width, CSV cell, table cell). The CSV header is the keys. JSON rows
+# also carry "iv_value_raw", which neither the CSV nor the table shows.
+REPORT_COLUMNS = (
+    ("observation_year", "year", 6, str, str),
+    ("window_length", "n", 3, str, str),
+    ("iv_value", "IV", 6, "{:.2f}".format, "{:.2f}".format),
+    ("total_citing", "citing", 7, str, str),
+    ("zero_year_flag", "zero-year", 9, {True: "true", False: "false"}.get,
+     {True: "yes", False: "no"}.get),
 )
 
 
@@ -256,46 +260,25 @@ def report_rows(profile: IVProfile) -> list[dict]:
     return rows
 
 
-def emit_report_csv(profile: IVProfile) -> str:
-    out = _io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REPORT_FIELDS)
-    for row in report_rows(profile):
-        writer.writerow(
-            [
-                row["observation_year"],
-                row["window_length"],
-                f"{row['iv_value']:.2f}",
-                row["total_citing"],
-                "true" if row["zero_year_flag"] else "false",
-            ]
-        )
-    return out.getvalue()
-
-
-def emit_report_json(profile: IVProfile) -> str:
-    return json.dumps(report_rows(profile), indent=2) + "\n"
-
-
-def emit_report_table(profile: IVProfile) -> str:
-    header = f"{'year':>6}  {'n':>3}  {'IV':>6}  {'citing':>7}  {'zero-year':>9}"
-    lines = [header, "-" * len(header)]
-    for row in report_rows(profile):
-        lines.append(
-            f"{row['observation_year']:>6}  {row['window_length']:>3}  "
-            f"{row['iv_value']:>6.2f}  {row['total_citing']:>7}  "
-            f"{'yes' if row['zero_year_flag'] else 'no':>9}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def emit_report(profile: IVProfile, fmt: str) -> str:
-    if fmt == "csv":
-        return emit_report_csv(profile)
+    rows = report_rows(profile)
     if fmt == "json":
-        return emit_report_json(profile)
+        return json.dumps(rows, indent=2) + "\n"
+    if fmt == "csv":
+        out = _io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(key for key, *_ in REPORT_COLUMNS)
+        for row in rows:
+            writer.writerow(cell(row[key]) for key, _, _, cell, _ in REPORT_COLUMNS)
+        return out.getvalue()
     if fmt == "table":
-        return emit_report_table(profile)
+        header = "  ".join(f"{heading:>{width}}" for _, heading, width, _, _ in REPORT_COLUMNS)
+        lines = [header, "-" * len(header)]
+        for row in rows:
+            lines.append(
+                "  ".join(f"{cell(row[key]):>{width}}" for key, _, width, _, cell in REPORT_COLUMNS)
+            )
+        return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
 
 

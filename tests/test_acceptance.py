@@ -163,45 +163,23 @@ def test_criterion_6_filter_semantics():
             authors = [("smith", "ja")] if rng.random() < 0.3 else [("jones", "k")]
             recs.append((f"c{i}", 2000 + i % 5, cited, authors, rng.choice(doc_types)))
         ds = make_dataset(pubs, recs, target=target)
-        pub_types = {p.id: p.doc_type for p in ds.publications}
-        exclude_ids = frozenset(rng.sample([r.id for r in ds.citing_records],
-                                           min(3, n_records)))
 
-        clause_options = [
-            [False, True],  # exclude_self_citations
-            [None, "pA"],  # exclude_citing_only
-            [None, frozenset({"article", "review"})],  # citing_doc_types
-            [None, frozenset({"review", "letter"})],  # cited_doc_types
-            [frozenset(), exclude_ids],  # exclude_ids
-        ]
-        for combo in itertools.product(*clause_options):
-            fs = FilterSet(
-                exclude_self_citations=combo[0],
-                exclude_citing_only=combo[1],
-                citing_doc_types=combo[2],
-                cited_doc_types=combo[3],
-                exclude_ids=combo[4],
-            )
+        for exclude_self, citing_only in itertools.product([False, True], [None, "pA"]):
+            fs = FilterSet(exclude_self_citations=exclude_self, exclude_citing_only=citing_only)
             expected = set()
             for rec in ds.citing_records:
-                if rec.id in fs.exclude_ids:
-                    continue
                 if fs.exclude_self_citations and rec.authors & ds.target.name_variants:
                     continue
                 if fs.exclude_citing_only and rec.cited_target_pub_ids == {fs.exclude_citing_only}:
-                    continue
-                if fs.citing_doc_types is not None and rec.doc_type not in fs.citing_doc_types:
-                    continue
-                if fs.cited_doc_types is not None and not any(
-                    pub_types[p] in fs.cited_doc_types for p in rec.cited_target_pub_ids
-                ):
                     continue
                 expected.add(rec.id)
             assert apply_filters(ds, fs) == expected
         assert apply_filters(ds, FilterSet()) == {r.id for r in ds.citing_records}
 
-    report(6, "apply_filters matches brute-force predicates over all clause "
-              "combinations on 30 generated datasets; empty filter is identity")
+    report(6, "apply_filters matches brute-force predicates for all 4 combinations "
+              "of the paper's two clauses (self-citations, citing only pA) on 30 "
+              "generated datasets; the records carry random doc types, which no "
+              "clause reads; empty filter is identity")
 
 
 def test_criterion_7_cohort_discrimination():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import impact_vitality
-from impact_vitality import YearlyCitingCounts, emit_counts, emit_dataset
-from impact_vitality.cli import main
+from impact_vitality import FilterSet, YearlyCitingCounts, emit_counts, emit_dataset, parse_dataset
+from impact_vitality.cli import main, parse_filter_args
 
 from conftest import TABLE5_COUNTS, TABLE5_PRINTED_IV, make_dataset, make_target
 
@@ -140,6 +141,13 @@ class TestProfile:
         lines = capsys.readouterr().out.splitlines()
         years = [int(l.split(",")[0]) for l in lines[1:]]
         assert years == [2005, 2004, 2003, 2002, 2001, 2000]
+
+    def test_every_filter_clause_has_a_filter_form(self, dataset_file):
+        # A FilterSet field that no --filter form sets would be library-only.
+        ds = parse_dataset(Path(dataset_file).read_text())
+        fs = parse_filter_args(["self-citations", "cites-only:pA"], ds)
+        for field in dataclasses.fields(FilterSet):
+            assert getattr(fs, field.name) != getattr(FilterSet(), field.name), field.name
 
     def test_reversed_year_range_is_usage_error(self, table5_csv, capsys):
         rc = main(["profile", "--counts", table5_csv, "--from", "1994", "--to", "1990"])
@@ -406,3 +414,31 @@ def test_huge_year_spans_stop_early(case, code, culprit, tmp_path):
     assert done.returncode == code
     assert culprit in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        (["indicators", "late.json", "--year", "2004"],
+         "late.json: window start 2005 is after the last observation year 2004"),
+        (["profile", "late.json"],
+         "late.json: window start 2005 is after the last observation year 2003"),
+        (["profile", "late.json", "--to", "2004"],
+         "late.json: window start 2005 is after the last observation year 2004"),
+        (["profile", "late.json", "--from", "2010"], "late.json: empty observation range [2010, 2003]"),
+        (["profile", "--counts", "late.csv", "--from", "2010"],
+         "late.csv: empty observation range [2010, 2003]"),
+    ],
+    ids=["indicators_year", "profile", "profile_to", "profile_from", "counts_from"],
+)
+def test_observation_range_errors_name_the_file(argv, culprit, tmp_path, capsys):
+    """The career starts in 2005, after every record (2001-2003)."""
+    target = make_target("smith", "ja", career_start_year=2005)
+    records = [(f"c{i}", 2001 + i % 3, {"pA"}) for i in range(6)]
+    (tmp_path / "late.json").write_text(emit_dataset(make_dataset([("pA", 2000)], records, target=target)))
+    (tmp_path / "late.csv").write_text("year,count\n2001,2\n2002,2\n2003,2\n")
+    argv = [str(tmp_path / arg) if arg.startswith("late.") else arg for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("impact-vitality: error:")
+    assert culprit in err

@@ -10,14 +10,12 @@ import contextlib
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from impact_vitality import (
-    AuthorKey,
-    CitationDataset,
-    TargetAuthor,
     YearlyCitingCounts,
     emit_counts,
     emit_dataset,
@@ -114,31 +112,61 @@ def test_stdout_matches_golden(name, fixture_dir):
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
-def test_cohort_dataset_anchor_follows_declared_first_citation_year(tmp_path, capsys):
-    # Records from 1992, but the dataset declares its first citation in 1995:
-    # the growing window starts in 1995 for profile and cohort alike.
-    counts = {1992: 40, 1993: 2, 1994: 3, 1995: 4, 1996: 5, 1997: 6, 1998: 7, 1999: 8}
-    records = [
-        (f"c{year}-{k}", year, {"p1"}) for year, n in counts.items() for k in range(n)
-    ]
-    built = make_dataset([("p1", 1990)], records)
-    ds = CitationDataset(
-        target=TargetAuthor(key=AuthorKey("smith", "ja"), first_citation_year=1995),
-        publications=built.publications,
-        citing_records=built.citing_records,
-    )
-    (tmp_path / "ds.json").write_text(emit_dataset(ds))
-    (tmp_path / "m.csv").write_text(
-        "candidate_id,selected,call_year,career_start_year,path\na,true,1999,,ds.json\n"
-    )
+# Every record up to 1994 is a self-citation, so `--filter self-citations`
+# leaves records from 1995 on.
+ANCHOR_COUNTS = {1992: 40, 1993: 2, 1994: 3, 1995: 4, 1996: 5, 1997: 6, 1998: 7, 1999: 8}
+ANCHOR_RECORDS = [
+    (f"c{year}-{k}", year, {"p1"}, [("smith", "ja")] if year <= 1994 else [("jones", "k")])
+    for year, n in ANCHOR_COUNTS.items()
+    for k in range(n)
+]
 
-    assert main(["profile", str(tmp_path / "ds.json"), "--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert [r["observation_year"] for r in rows] == [1999, 1998]
+# (input file, career start, declared first citation year, profile filter,
+# manifest career_start_year, expected window start). Each case's anchor is
+# the first source in the rule that it sets.
+ANCHOR_CASES = {
+    "counts_first_year": ("counts", None, None, [], "", 1992),
+    "dataset_career_start": ("dataset", 1990, None, [], "", 1990),
+    # The first record left after the filter is from 1995.
+    "declared_first_citation": ("dataset", None, 1993, ["--filter", "self-citations"], "", 1993),
+    "manifest_career_start": ("dataset", 1990, None, [], "1991", 1991),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANCHOR_CASES))
+def test_growing_window_anchors_in_order(case, tmp_path, capsys):
+    """Without --window, profile and cohort start the window at the same
+    anchor: the first known of the given (manifest) career start, the
+    dataset's career start, its first citation year, the first counted
+    year."""
+    kind, career_start, first_citation, filters, manifest_start, anchor = ANCHOR_CASES[case]
+    if kind == "counts":
+        path = tmp_path / "c.csv"
+        path.write_text(emit_counts(YearlyCitingCounts(ANCHOR_COUNTS)))
+    else:
+        path = tmp_path / "ds.json"
+        target = replace(make_target(career_start_year=career_start),
+                         first_citation_year=first_citation)
+        path.write_text(emit_dataset(make_dataset([("p1", 1990)], ANCHOR_RECORDS, target=target)))
+    source = ["--counts", str(path)] if kind == "counts" else [str(path)]
+
+    def rows(*extra):
+        assert main(["profile", *source, *extra, "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    pinned = rows(*filters, "--window", f"fixed:{anchor}")
+    assert pinned[-1]["observation_year"] == anchor + 3  # the shortest window has 4 years
+    if not manifest_start:
+        assert rows(*filters) == pinned
+
+    (tmp_path / "m.csv").write_text(
+        "candidate_id,selected,call_year,career_start_year,path\n"
+        f"a,true,1999,{manifest_start},{path.name}\n"
+    )
     assert main(["cohort", str(tmp_path / "m.csv"), "--format", "json"]) == 0
     stats = json.loads(capsys.readouterr().out)["selected"]
-    assert stats["min_iv"]["min"] == min(r["iv_value_raw"] for r in rows)
-    assert stats["share_all_above_one"] == 1.0
+    unfiltered = rows("--window", f"fixed:{anchor}")  # cohort takes no filter
+    assert stats["min_iv"]["min"] == min(r["iv_value_raw"] for r in unfiltered)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ from impact_vitality import (
     Severity,
     TargetAuthor,
     YearlyCitingCounts,
-    apply_filters,
     citation_counts_per_publication,
     most_cited_publication,
     validate_dataset,
@@ -173,9 +172,6 @@ class TestCitationCountsPerPublication:
     @pytest.mark.parametrize("reduce", [
         lambda ds: citation_counts_per_publication(ds, EMPTY),
         most_cited_publication,
-        pytest.param(
-            lambda ds: apply_filters(ds, FilterSet(cited_doc_types={"article"})), id="apply_filters"
-        ),
     ])
     def test_unknown_cited_id_names_record_and_id(self, reduce):
         # construction does not check cited ids; validate_dataset does
