@@ -143,14 +143,18 @@ def parse_filter_args(args: list[str], ds: Optional[CitationDataset]) -> FilterS
             exclude_self = True
         elif arg.startswith("cites-only:"):
             pub_id = arg.split(":", 1)[1]
-            if pub_id == "most-cited":
-                assert ds is not None
-                pub_id = most_cited_publication(ds)
+            if citing_only is not None:
+                raise UsageError(
+                    f"--filter cites-only: may be given once, got {citing_only!r} and {pub_id!r}"
+                )
             citing_only = pub_id
         else:
             raise UsageError(
                 f"unknown --filter {arg!r}: expected self-citations or cites-only:<pubid|most-cited>"
             )
+    if citing_only == "most-cited":
+        assert ds is not None
+        citing_only = most_cited_publication(ds)
     return FilterSet(exclude_self_citations=exclude_self, exclude_citing_only=citing_only)
 
 
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--filter",
         action="append",
-        help="self-citations or cites-only:<pubid|most-cited>; repeatable",
+        help="self-citations or cites-only:<pubid|most-cited>; repeatable, but cites-only: once",
     )
     p.add_argument("--from", dest="from_year", type=int, help="first observation year")
     p.add_argument("--to", dest="to_year", type=int, help="last observation year")

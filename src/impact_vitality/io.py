@@ -29,6 +29,8 @@ SCHEMA_VERSION = 1
 
 MAX_COUNT = 2**53 - 1  # the largest integer a float holds exactly
 
+COUNTS_HEADER = ("year", "count")  # the counts CSV header, read and written
+
 # Report columns in output order: (key in `report_rows`, table heading,
 # table width, CSV cell, table cell). The CSV header is the keys. JSON rows
 # also carry "iv_value_raw", which neither the CSV nor the table shows.
@@ -46,22 +48,31 @@ class FormatError(ValueError):
     """Malformed document or schema violation; the message names the culprit."""
 
 
-# Each object kind's fields: name -> (exact JSON types, required); bool is no
-# int here. null is accepted only where the model's default is None, and an
-# absent optional field takes the model's default.
+# Each object kind's fields: name -> (exact JSON types, required, nested
+# kind). bool is no int here. null is accepted only where the model's default
+# is None, and an absent optional field takes the model's default. The nested
+# kind names the SCHEMA kind of an object field or of a list's items (str for
+# a list of strings, None for a scalar). `parse_dataset` and `emit_dataset`
+# both walk this table; the field names match the model dataclasses.
 _STR, _INT, _LIST, _OBJ = (str,), (int,), (list,), (dict,)
+_YEAR = ((int, type(None)), False, None)
 SCHEMA = {
-    "dataset": {"schema_version": (_INT, True), "target": (_OBJ, True),
-                "publications": (_LIST, True), "citing_records": (_LIST, True)},
-    "target": {"key": (_OBJ, True), "name_variants": (_LIST, False),
-               "career_start_year": ((int, type(None)), False),
-               "first_citation_year": ((int, type(None)), False)},
-    "author": {"surname": (_STR, True), "initials": (_STR, False)},
-    "publication": {"id": (_STR, True), "year": (_INT, True), "doc_type": (_STR, False),
-                    "label": ((str, type(None)), False)},
-    "citing record": {"id": (_STR, True), "year": (_INT, True), "authors": (_LIST, False),
-                      "cited_target_pub_ids": (_LIST, True), "doc_type": (_STR, False)},
+    "dataset": {"schema_version": (_INT, True, None), "target": (_OBJ, True, "target"),
+                "publications": (_LIST, True, "publication"),
+                "citing_records": (_LIST, True, "citing record")},
+    "target": {"key": (_OBJ, True, "author"), "name_variants": (_LIST, False, "author"),
+               "career_start_year": _YEAR, "first_citation_year": _YEAR},
+    "author": {"surname": (_STR, True, None), "initials": (_STR, False, None)},
+    "publication": {"id": (_STR, True, None), "year": (_INT, True, None),
+                    "doc_type": (_STR, False, None), "label": ((str, type(None)), False, None)},
+    "citing record": {"id": (_STR, True, None), "year": (_INT, True, None),
+                      "authors": (_LIST, False, "author"),
+                      "cited_target_pub_ids": (_LIST, True, str),
+                      "doc_type": (_STR, False, None)},
 }
+# The model class each kind but "author" parses into.
+_MODELS = {"dataset": CitationDataset, "target": TargetAuthor,
+           "publication": Publication, "citing record": CitingRecord}
 
 
 def _fields(obj: Any, kind: str, context: str) -> dict:
@@ -77,25 +88,48 @@ def _fields(obj: Any, kind: str, context: str) -> dict:
         if type(value) not in spec[0]:
             got = type(value).__name__
             raise FormatError(f"{context}: {name!r} must be {spec[0][0].__name__}, got {got}")
-    for name, (_, required) in schema.items():
+    for name, (_, required, _) in schema.items():
         if required and name not in obj:
             raise FormatError(f"{context}: missing required field {name!r}")
     return obj
 
 
-def _author(obj: Any, context: str, keys: dict[tuple[str, str], AuthorKey]) -> AuthorKey:
-    """The key for one author object. `keys` maps each raw (surname, initials)
-    pair seen so far in the document to its key, so each distinct name is
-    normalized once; a pair that fails normalization is not stored."""
-    fields = _fields(obj, "author", context)
-    pair = (fields["surname"], fields.get("initials", ""))
-    key = keys.get(pair)
-    if key is None:
-        try:
-            key = keys[pair] = AuthorKey(*pair)
-        except ValueError as exc:
-            raise FormatError(f"{context}: {exc}") from exc
-    return key
+def _parse(obj: Any, kind: str, context: str, keys: dict[tuple[str, str], AuthorKey]) -> Any:
+    """The model value of the JSON object `obj` of `kind`, its nested objects
+    parsed in turn. An "author" gives its `AuthorKey`: `keys` maps each raw
+    (surname, initials) pair seen so far in the document to its key, so each
+    distinct name is normalized once; a pair that fails normalization is not
+    stored."""
+    fields = _fields(obj, kind, context)
+    if kind == "author":
+        pair = (fields["surname"], fields.get("initials", ""))
+        key = keys.get(pair)
+        if key is None:
+            try:
+                key = keys[pair] = AuthorKey(*pair)
+            except ValueError as exc:
+                raise FormatError(f"{context}: {exc}") from exc
+        return key
+    if kind == "dataset":  # the version fixes the layout, so it is checked first
+        version = fields.pop("schema_version")
+        if version != SCHEMA_VERSION:
+            raise FormatError(f"dataset: unsupported schema_version {version!r}")
+    prefix = "" if kind == "dataset" else f"{context}."
+    for name, (types, _, nested) in SCHEMA[kind].items():
+        if nested is None or name not in fields:
+            continue
+        value = fields[name]
+        if nested is str:
+            if not all(type(item) is str for item in value):
+                raise FormatError(f"{context}: {name!r} must hold only str")
+        elif types is _LIST:
+            # In place, in a loop: on Python 3.11 a comprehension makes its
+            # names closure cells in every call, the many author calls too.
+            for i, item in enumerate(value):
+                value[i] = _parse(item, nested, f"{prefix}{name}[{i}]", keys)
+        else:
+            fields[name] = _parse(value, nested, f"{prefix}{name}", keys)
+    return _MODELS[kind](**fields)
 
 
 def parse_dataset(document: str) -> CitationDataset:
@@ -111,75 +145,35 @@ def parse_dataset(document: str) -> CitationDataset:
         raise FormatError(f"malformed JSON: {exc}") from exc
     except RecursionError:
         raise FormatError("malformed JSON: nested too deeply") from None
-
-    _fields(raw, "dataset", "dataset")
-    if raw["schema_version"] != SCHEMA_VERSION:
-        raise FormatError(f"dataset: unsupported schema_version {raw['schema_version']!r}")
-
-    keys: dict[tuple[str, str], AuthorKey] = {}
-    t = _fields(raw["target"], "target", "target")
-    t["key"] = _author(t["key"], "target.key", keys)
-    variants = enumerate(t.get("name_variants", ()))
-    t["name_variants"] = [_author(v, f"target.name_variants[{i}]", keys) for i, v in variants]
-    target = TargetAuthor(**t)
-
-    publications = [
-        Publication(**_fields(p, "publication", f"publications[{i}]"))
-        for i, p in enumerate(raw["publications"])
-    ]
-
-    records = []
-    for i, r in enumerate(raw["citing_records"]):
-        ctx = f"citing_records[{i}]"
-        _fields(r, "citing record", ctx)
-        if "authors" in r:
-            r["authors"] = [
-                _author(a, f"{ctx}.authors[{j}]", keys) for j, a in enumerate(r["authors"])
-            ]
-        if not all(type(pub_id) is str for pub_id in r["cited_target_pub_ids"]):
-            raise FormatError(f"{ctx}: 'cited_target_pub_ids' must hold only str")
-        records.append(CitingRecord(**r))
-
-    return CitationDataset(target=target, publications=tuple(publications), citing_records=tuple(records))
+    return _parse(raw, "dataset", "dataset", {})
 
 
-def _emit_author_key(key: AuthorKey) -> dict:
-    return {"surname": key.surname, "initials": key.initials}
+def _json_obj(value: Any, kind: str) -> dict:
+    """The JSON object for the model `value` of `kind`: the fields SCHEMA
+    names, None left out, frozensets sorted, nested kinds converted in turn.
+    Fields are read with getattr: on CPython 3.11, `vars()` would give each
+    instance a dict of its own for good, which measured slower."""
+    obj = {}
+    for name, (types, _, nested) in SCHEMA[kind].items():
+        field = SCHEMA_VERSION if name == "schema_version" else getattr(value, name)
+        if field is None:
+            continue
+        if type(field) is frozenset:
+            field = sorted(field)
+        if nested is None or nested is str:
+            obj[name] = field
+        elif types is _OBJ:
+            obj[name] = _json_obj(field, nested)
+        else:
+            obj[name] = items = []
+            for item in field:  # a loop, for the reason given in `_parse`
+                items.append(_json_obj(item, nested))
+    return obj
 
 
 def emit_dataset(ds: CitationDataset) -> str:
     """Serialize a dataset; parse(emit(ds)) reconstructs an equal dataset."""
-    target: dict[str, Any] = {
-        "key": _emit_author_key(ds.target.key),
-        "name_variants": [_emit_author_key(k) for k in sorted(ds.target.name_variants)],
-    }
-    if ds.target.career_start_year is not None:
-        target["career_start_year"] = ds.target.career_start_year
-    if ds.target.first_citation_year is not None:
-        target["first_citation_year"] = ds.target.first_citation_year
-
-    def pub_obj(p: Publication) -> dict:
-        obj: dict[str, Any] = {"id": p.id, "year": p.year, "doc_type": p.doc_type}
-        if p.label is not None:
-            obj["label"] = p.label
-        return obj
-
-    def rec_obj(r: CitingRecord) -> dict:
-        return {
-            "id": r.id,
-            "year": r.year,
-            "authors": [_emit_author_key(k) for k in sorted(r.authors)],
-            "cited_target_pub_ids": sorted(r.cited_target_pub_ids),
-            "doc_type": r.doc_type,
-        }
-
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "target": target,
-        "publications": [pub_obj(p) for p in ds.publications],
-        "citing_records": [rec_obj(r) for r in ds.citing_records],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_json_obj(ds, "dataset"), indent=2, sort_keys=True) + "\n"
 
 
 def _check_year(what: str, year: Optional[int], year_max: int) -> None:
@@ -214,7 +208,7 @@ def _csv_rows(document: str, what: str, header: tuple[str, ...]) -> Iterator[tup
 def parse_counts(document: str) -> YearlyCitingCounts:
     """Parse a "year,count" CSV into yearly citing counts."""
     counts: dict[int, int] = {}
-    for lineno, row in _csv_rows(document, "counts file", ("year", "count")):
+    for lineno, row in _csv_rows(document, "counts file", COUNTS_HEADER):
         try:
             year = int(row[0])
             count = int(row[1])
@@ -234,7 +228,7 @@ def parse_counts(document: str) -> YearlyCitingCounts:
 
 
 def emit_counts(counts: YearlyCitingCounts) -> str:
-    lines = ["year,count"]
+    lines = [",".join(COUNTS_HEADER)]
     lines += [f"{year},{counts.counts[year]}" for year in sorted(counts.counts)]
     return "\n".join(lines) + "\n"
 

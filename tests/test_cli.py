@@ -123,6 +123,20 @@ class TestProfile:
               "--filter", "self-citations", "--format", "csv"])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("pA", "pB"), ("most-cited", "pB"), ("pA", "pA")],
+    )
+    def test_repeated_cites_only_is_usage_error(self, dataset_file, first, second, capsys):
+        # Keeping only the last form would silently drop the first.
+        rc = main(["profile", dataset_file, "--filter", f"cites-only:{first}",
+                   "--filter", "self-citations", "--filter", f"cites-only:{second}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"impact-vitality: usage error: --filter cites-only: may be given once, "
+            f"got {first!r} and {second!r}\n"
+        )
+
     def test_requires_some_input(self, capsys):
         assert main(["profile"]) == 2
 

@@ -1,11 +1,18 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from impact_vitality import (
     AuthorKey,
+    CitationDataset,
+    CitingRecord,
     FixedStart,
     FormatError,
+    Publication,
+    TargetAuthor,
     YearlyCitingCounts,
     emit_counts,
     emit_dataset,
@@ -15,6 +22,8 @@ from impact_vitality import (
     parse_dataset,
     parse_manifest,
 )
+from impact_vitality.io import SCHEMA
+from impact_vitality.model import normalize_surname
 
 from conftest import TABLE5_COUNTS, make_dataset, make_target
 
@@ -34,6 +43,18 @@ MINIMAL_DOC = json.dumps(
         ],
     }
 )
+
+
+def _changed(document, changes):
+    """`document` with the value at each path (a tuple of keys and indexes)
+    in `changes` replaced."""
+    doc = json.loads(document)
+    for path, value in changes.items():
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+    return json.dumps(doc)
 
 
 class TestParseDataset:
@@ -90,14 +111,31 @@ class TestParseDataset:
         ],
     )
     def test_json_types_are_strict(self, path, value, culprit):
-        doc = json.loads(MINIMAL_DOC)
-        parent = doc
-        for step in path[:-1]:
-            parent = parent[step]
-        parent[path[-1]] = value
         with pytest.raises(FormatError) as info:
-            parse_dataset(json.dumps(doc))
+            parse_dataset(_changed(MINIMAL_DOC, {path: value}))
         assert culprit in str(info.value)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({("target", "name_variants"): [{"surname": "lee"}, "lee"]},
+             "target.name_variants[1]: expected an object, got str"),
+            ({("citing_records", 0, "authors", 0): {"initials": "k"}},
+             "citing_records[0].authors[0]: missing required field 'surname'"),
+            ({("publications", 0): 5}, "publications[0]: expected an object, got int"),
+            ({("target", "key"): []}, "target: 'key' must be dict, got list"),
+            # the dataset object's own field types are checked before its nesting
+            ({("target",): []}, "dataset: 'target' must be dict, got list"),
+            ({("schema_version",): 2, ("target", "key"): 5},
+             "dataset: unsupported schema_version 2"),
+            ({("schema_version",): 2, ("publications",): [5]},
+             "dataset: unsupported schema_version 2"),
+        ],
+    )
+    def test_nested_errors_name_their_path(self, changes, message):
+        with pytest.raises(FormatError) as info:
+            parse_dataset(_changed(MINIMAL_DOC, changes))
+        assert str(info.value) == message
 
     def _with_authors(self, authors):
         """MINIMAL_DOC with one record per list of author objects in `authors`."""
@@ -167,6 +205,101 @@ class TestParseDataset:
         ds = parse_dataset(MINIMAL_DOC)
         once = emit_dataset(ds)
         assert emit_dataset(parse_dataset(once)) == once
+
+
+MODELS = {"dataset": CitationDataset, "target": TargetAuthor, "author": AuthorKey,
+          "publication": Publication, "citing record": CitingRecord}
+
+
+def test_schema_names_the_model_fields():
+    # Both walkers read a model's fields by the names SCHEMA gives them.
+    assert set(SCHEMA) == set(MODELS)
+    for kind, model in MODELS.items():
+        names = {f.name for f in dataclasses.fields(model)}
+        if kind == "dataset":
+            names.add("schema_version")
+        assert set(SCHEMA[kind]) == names, kind
+        for _, _, nested in SCHEMA[kind].values():
+            assert nested in (None, str) or nested in SCHEMA, (kind, nested)
+
+
+def _reference_emit(ds):
+    """The dataset document as `emit_dataset` built it by hand before SCHEMA
+    drove it."""
+
+    def author(key):
+        return {"surname": key.surname, "initials": key.initials}
+
+    target = {
+        "key": author(ds.target.key),
+        "name_variants": [author(k) for k in sorted(ds.target.name_variants)],
+    }
+    if ds.target.career_start_year is not None:
+        target["career_start_year"] = ds.target.career_start_year
+    if ds.target.first_citation_year is not None:
+        target["first_citation_year"] = ds.target.first_citation_year
+
+    def pub_obj(p):
+        obj = {"id": p.id, "year": p.year, "doc_type": p.doc_type}
+        if p.label is not None:
+            obj["label"] = p.label
+        return obj
+
+    def rec_obj(r):
+        return {
+            "id": r.id,
+            "year": r.year,
+            "authors": [author(k) for k in sorted(r.authors)],
+            "cited_target_pub_ids": sorted(r.cited_target_pub_ids),
+            "doc_type": r.doc_type,
+        }
+
+    doc = {
+        "schema_version": 1,
+        "target": target,
+        "publications": [pub_obj(p) for p in ds.publications],
+        "citing_records": [rec_obj(r) for r in ds.citing_records],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Control characters, quotes, backslashes, combining marks, non-ASCII letters,
+# and anything else hypothesis draws.
+chars = st.one_of(st.sampled_from('a\x00\x1f\x7f"\\\u0301é\u2028ñ .ß'), st.characters())
+texts = st.text(chars, max_size=6)
+surnames = st.text(chars, min_size=1, max_size=6).filter(normalize_surname)
+keys = st.builds(AuthorKey, surnames, texts)
+years = st.none() | st.integers(min_value=-10**6, max_value=10**6)
+datasets = st.builds(
+    CitationDataset,
+    target=st.builds(TargetAuthor, key=keys, name_variants=st.frozensets(keys, max_size=3),
+                     career_start_year=years, first_citation_year=years),
+    publications=st.lists(
+        st.builds(Publication, id=texts, year=st.integers(min_value=1800, max_value=2030),
+                  doc_type=texts, label=st.none() | texts),
+        max_size=4,
+    ),
+    citing_records=st.lists(
+        st.builds(CitingRecord, id=texts, year=st.integers(min_value=1800, max_value=2030),
+                  authors=st.frozensets(keys, max_size=3),
+                  cited_target_pub_ids=st.frozensets(texts, max_size=3), doc_type=texts),
+        max_size=5,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets)
+@example(CitationDataset(TargetAuthor(AuthorKey("Ñ\x00ez", "j.\x1f"))))  # no publications or records
+@example(CitationDataset(
+    TargetAuthor(AuthorKey("lee")),
+    publications=[Publication("p\u2028", 1990, label=None)],
+    citing_records=[CitingRecord("c\"1", 1991, authors=(), cited_target_pub_ids={"p\u2028"})],
+))
+def test_emit_matches_reference_bytes_and_round_trips(ds):
+    text = emit_dataset(ds)
+    assert text == _reference_emit(ds)
+    assert parse_dataset(text) == ds
 
 
 class TestParseCounts:
