@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
@@ -19,7 +20,6 @@ from .filters import FilterSet, most_cited_publication
 from .indicators import (
     DEFAULT_MIN_WINDOW,
     FixedStart,
-    IVProfile,
     MovingWindow,
     WindowSpec,
     ar_index,
@@ -60,7 +60,7 @@ class UsageError(Exception):
 
 
 class DataError(ValueError):
-    pass
+    """A data error whose message already names its file."""
 
 
 def _read(path: str) -> str:
@@ -74,19 +74,23 @@ def _read(path: str) -> str:
         raise DataError(f"cannot read {path!r}: {exc}") from None
 
 
-def _parse(path: str, text: str, parse):
+@contextmanager
+def _about(path: str):
+    """Name `path` in every data error raised inside: a ValueError that is
+    not a DataError yet becomes one, its message prefixed with the path."""
     try:
-        return parse(text)
-    except ivio.FormatError as exc:
+        yield
+    except DataError:
+        raise
+    except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _checked_dataset(path: str, text: str) -> CitationDataset:
-    ds = _parse(path, text, ivio.parse_dataset)
+def _checked_dataset(text: str) -> CitationDataset:
+    ds = ivio.parse_dataset(text)
     findings = validate_dataset(ds)
     if has_errors(findings):
-        first = next(f for f in findings if f.severity is Severity.ERROR)
-        raise DataError(f"{path}: {first.message}")
+        raise ValueError(next(f for f in findings if f.severity is Severity.ERROR).message)
     return ds
 
 
@@ -107,14 +111,6 @@ def _growing_window(counts, ds=None, career_start=None) -> FixedStart:
         anchors += [ds.target.career_start_year, ds.target.first_citation_year]
     anchors.append(counts.min_year())
     return FixedStart(start_year=next(year for year in anchors if year is not None))
-
-
-def _profile(path: str, counts, spec: WindowSpec, first: int, last: int) -> IVProfile:
-    """`iv_profile`, with its errors naming the file `counts` came from."""
-    try:
-        return iv_profile(counts, spec, first, last)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
 
 
 def parse_window_arg(arg: str) -> WindowSpec:
@@ -159,8 +155,8 @@ def parse_filter_args(args: list[str], ds: Optional[CitationDataset]) -> FilterS
 
 
 def cmd_validate(args) -> int:
-    ds = _parse(args.dataset, _read(args.dataset), ivio.parse_dataset)
-    findings = validate_dataset(ds)
+    with _about(args.dataset):
+        findings = validate_dataset(ivio.parse_dataset(_read(args.dataset)))
     for f in findings:
         print(f"{f.severity.value}: {f.message}")
     return 1 if has_errors(findings) else 0
@@ -183,53 +179,55 @@ def cmd_profile(args) -> int:
     spec = parse_window_arg(args.window) if args.window else None
 
     path = args.counts or args.dataset
-    if args.counts:
-        counts = _parse(path, _read(path), ivio.parse_counts)
-        ds = None
-    else:
-        ds = _checked_dataset(path, _read(path))
-        fs = parse_filter_args(args.filter or [], ds)
-        counts = yearly_citing_counts(ds, fs)
+    with _about(path):
+        if args.counts:
+            counts = ivio.parse_counts(_read(path))
+            ds = None
+        else:
+            ds = _checked_dataset(_read(path))
+            fs = parse_filter_args(args.filter or [], ds)
+            counts = yearly_citing_counts(ds, fs)
 
-    if not counts.counts:
-        raise DataError("no citing publications to profile")
+        if not counts.counts:
+            raise ValueError("no citing publications to profile")
 
-    if spec is None:
-        spec = _growing_window(counts, ds)
-    if first is None:
-        first = counts.min_year()
-        if isinstance(spec, FixedStart):
-            first = min(first, spec.start_year)
-    if last is None:
-        last = counts.max_year()
-    profile = _profile(path, counts, spec, first, last)
+        if spec is None:
+            spec = _growing_window(counts, ds)
+        if first is None:
+            first = counts.min_year()
+            if isinstance(spec, FixedStart):
+                first = min(first, spec.start_year)
+        if last is None:
+            last = counts.max_year()
+        profile = iv_profile(counts, spec, first, last)
     sys.stdout.write(ivio.emit_report(profile, args.format))
     return 0
 
 
 def cmd_indicators(args) -> int:
     year = _year_arg("--year", args.year)
-    ds = _checked_dataset(args.dataset, _read(args.dataset))
-    if not ds.citing_records:
-        raise DataError("dataset has no citing records")
-    if year is None:
-        year = max(r.year for r in ds.citing_records)
-    # As of `year`: only the records dated by then count, and only the
-    # publications out by then enter the h-core.
-    ds = replace(ds, citing_records=[r for r in ds.citing_records if r.year <= year])
-    if not ds.citing_records:
-        raise DataError(f"{args.dataset}: no citing records dated {year} or earlier")
-    fs = FilterSet()
-    per_pub = citation_counts_per_publication(ds, fs)
-    counts = yearly_citing_counts(ds, fs)
+    with _about(args.dataset):
+        ds = _checked_dataset(_read(args.dataset))
+        if not ds.citing_records:
+            raise ValueError("dataset has no citing records")
+        if year is None:
+            year = max(r.year for r in ds.citing_records)
+        # As of `year`: only the records dated by then count, and only the
+        # publications out by then enter the h-core.
+        ds = replace(ds, citing_records=[r for r in ds.citing_records if r.year <= year])
+        if not ds.citing_records:
+            raise ValueError(f"no citing records dated {year} or earlier")
+        fs = FilterSet()
+        per_pub = citation_counts_per_publication(ds, fs)
+        counts = yearly_citing_counts(ds, fs)
 
-    pubs = [(p.id, per_pub[p.id], p.year) for p in ds.publications if p.year <= year]
-    h = h_index([cites for _, cites, _ in pubs])
-    ar = ar_index(select_h_core(pubs, year))
+        pubs = [(p.id, per_pub[p.id], p.year) for p in ds.publications if p.year <= year]
+        h = h_index([cites for _, cites, _ in pubs])
+        ar = ar_index(select_h_core(pubs, year))
 
-    spec = _growing_window(counts, ds)
-    first = min(counts.min_year(), spec.start_year)
-    profile = _profile(args.dataset, counts, spec, first, year)
+        spec = _growing_window(counts, ds)
+        first = min(counts.min_year(), spec.start_year)
+        profile = iv_profile(counts, spec, first, year)
     latest = profile.points[-1] if profile.points else None
 
     out = {
@@ -267,23 +265,22 @@ def cmd_indicators(args) -> int:
 
 def _load_candidate(entry: dict, base: Path) -> CandidateProfile:
     path = str(base / entry["path"])
-    text = _read(path)
     call_year, start, ds = entry["call_year"], entry["career_start_year"], None
-    if text.lstrip().startswith("{"):
-        ds = _checked_dataset(path, text)
-        counts = yearly_citing_counts(ds, FilterSet())
-        if start is None:
-            start = ds.target.career_start_year
-    else:
-        counts = _parse(path, text, ivio.parse_counts)
-    if not counts.counts:
-        raise DataError(f"{path}: no citing publications")
-    spec = _growing_window(counts, ds, start)
-    if call_year < spec.start_year:
-        raise DataError(
-            f"{path}: call year {call_year} is before the window start {spec.start_year}"
-        )
-    profile = _profile(path, counts, spec, spec.start_year, call_year)
+    with _about(path):
+        text = _read(path)
+        if text.lstrip().startswith("{"):
+            ds = _checked_dataset(text)
+            counts = yearly_citing_counts(ds, FilterSet())
+            if start is None:
+                start = ds.target.career_start_year
+        else:
+            counts = ivio.parse_counts(text)
+        if not counts.counts:
+            raise ValueError("no citing publications")
+        spec = _growing_window(counts, ds, start)
+        if call_year < spec.start_year:
+            raise ValueError(f"call year {call_year} is before the window start {spec.start_year}")
+        profile = iv_profile(counts, spec, spec.start_year, call_year)
     return CandidateProfile(
         candidate_id=entry["candidate_id"],
         selected=entry["selected"],
@@ -312,12 +309,12 @@ def _stat_json(value):
 
 
 def cmd_cohort(args) -> int:
-    entries = _parse(args.manifest, _read(args.manifest), ivio.parse_manifest)
-    if not entries:
-        raise DataError(f"{args.manifest}: no candidates listed")
-    base = Path(args.manifest).parent
-    candidates = [_load_candidate(e, base) for e in entries]
-    summary = cohort_summary(candidates)
+    with _about(args.manifest):
+        entries = ivio.parse_manifest(_read(args.manifest))
+        if not entries:
+            raise ValueError("no candidates listed")
+        base = Path(args.manifest).parent
+        summary = cohort_summary([_load_candidate(e, base) for e in entries])
 
     if args.format == "json":
         doc = {

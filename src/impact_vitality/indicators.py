@@ -7,13 +7,15 @@ year has age n, weight 1/n) and normalized so that a constant yearly volume
 yields exactly 1. Values above 1 mean the citing volume is growing, below 1
 shrinking; the value is invariant under scaling all counts by a common
 factor.
+
+Float sums are plain left-to-right loops, not sum(): from CPython 3.12 on,
+sum() of floats is compensated, which would change the last bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -24,7 +26,10 @@ DEFAULT_MIN_WINDOW = 4  # growing windows shorter than this are not reported
 
 @functools.lru_cache(maxsize=None)
 def harmonic(n: int) -> float:
-    return sum(1.0 / i for i in range(1, n + 1))
+    total = 0.0
+    for i in range(1, n + 1):
+        total += 1.0 / i
+    return total
 
 
 def iv_upper_bound(n: int) -> float:
@@ -51,7 +56,9 @@ def impact_vitality(counts: Sequence[int]) -> float:
     total = sum(counts)
     if total <= 0:
         raise ValueError("window total must be positive")
-    weighted = sum(map(operator.truediv, counts, range(1, n + 1)))
+    weighted = 0.0
+    for age, count in enumerate(counts, start=1):
+        weighted += count / age
     return (n * (weighted / total) - 1.0) / (harmonic(n) - 1.0)
 
 
@@ -180,12 +187,14 @@ def ar_index(h_core: Sequence[tuple[int, int]]) -> float:
     realize the h-index; selecting them is the caller's duty. Ages are >= 1
     (a same-year publication has age 1).
     """
+    total = 0.0
     for cites, age in h_core:
         if age < 1:
             raise ValueError(f"publication age must be >= 1, got {age}")
         if cites < 0:
             raise ValueError(f"citation count must be >= 0, got {cites}")
-    return math.sqrt(sum(cites / age for cites, age in h_core))
+        total += cites / age
+    return math.sqrt(total)
 
 
 def select_h_core(

@@ -141,7 +141,7 @@ def parse_dataset(document: str) -> CitationDataset:
     """
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise FormatError(f"malformed JSON: {exc}") from exc
     except RecursionError:
         raise FormatError("malformed JSON: nested too deeply") from None

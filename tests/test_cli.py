@@ -333,29 +333,50 @@ def empty_dataset_file(tmp_path):
         ("cites_only_ghost", 1),
         ("most_cited_of_nothing", 1),
         ("to_before_data", 1),
+        ("profile_of_nothing", 1),
+        ("indicators_of_nothing", 1),
+        ("oversized_integer", 1),
+        ("empty_candidate_profile", 1),
         ("reversed_range", 2),
         ("unknown_filter", 2),
         ("year_out_of_range", 2),
     ],
 )
 def test_exit_code_rule(case, code, tmp_path, table5_csv, dataset_file, empty_dataset_file, capsys):
-    """2 when the arguments are wrong on their own, 1 for anything else."""
+    """2 when the arguments are wrong on their own, 1 for anything else. A
+    message with status 1 names the file given on the command line; for a
+    cohort whose candidate has no IV point, that is the manifest."""
     undecodable = tmp_path / "bom.json"
     undecodable.write_bytes(b"\xff\xfe")
-    argv = {
-        "undecodable": ["validate", str(undecodable)],
-        "year_before_data": ["indicators", dataset_file, "--year", "1995"],
-        "cites_only_ghost": ["profile", dataset_file, "--filter", "cites-only:ghost"],
-        "most_cited_of_nothing": ["profile", empty_dataset_file, "--filter", "cites-only:most-cited"],
-        "to_before_data": ["profile", "--counts", table5_csv, "--to", "1980"],
-        "reversed_range": ["profile", "--counts", table5_csv, "--from", "1994", "--to", "1990"],
-        "unknown_filter": ["profile", dataset_file, "--filter", "bogus"],
-        "year_out_of_range": ["indicators", dataset_file, "--year", "3000000"],
+    oversized = tmp_path / "oversized.json"
+    oversized.write_text('{"schema_version": ' + "9" * 5000 + "}")
+    (tmp_path / "short.csv").write_text("year,count\n2000,3\n2001,4\n")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        "candidate_id,selected,call_year,career_start_year,path\nA,true,2001,,short.csv\n"
+    )
+    argv, named = {
+        "undecodable": (["validate"], undecodable),
+        "year_before_data": (["indicators", "--year", "1995"], dataset_file),
+        "cites_only_ghost": (["profile", "--filter", "cites-only:ghost"], dataset_file),
+        "most_cited_of_nothing": (
+            ["profile", "--filter", "cites-only:most-cited"], empty_dataset_file
+        ),
+        "to_before_data": (["profile", "--to", "1980", "--counts"], table5_csv),
+        "profile_of_nothing": (["profile"], empty_dataset_file),
+        "indicators_of_nothing": (["indicators"], empty_dataset_file),
+        "oversized_integer": (["validate"], oversized),
+        "empty_candidate_profile": (["cohort"], manifest),
+        "reversed_range": (["profile", "--from", "1994", "--to", "1990", "--counts"], table5_csv),
+        "unknown_filter": (["profile", "--filter", "bogus"], dataset_file),
+        "year_out_of_range": (["indicators", "--year", "3000000"], dataset_file),
     }[case]
-    assert main(argv) == code
+    assert main([*argv, str(named)]) == code
     err = capsys.readouterr().err
     assert err.startswith("impact-vitality:")
     assert "Traceback" not in err
+    if code == 1:
+        assert str(named) in err
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ change of the output, rewrite them from the root of a checkout with
 import contextlib
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from impact_vitality import (
     emit_counts,
     emit_dataset,
 )
+from impact_vitality import indicators
 from impact_vitality.cli import main
 
 from conftest import TABLE5_COUNTS, make_dataset, make_target
@@ -108,6 +110,46 @@ def fixture_dir(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, fixture_dir):
     code, out = run_case(name, fixture_dir)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def compensated_sum(items, start=0):
+    """sum() as CPython 3.12 and later compute it: ints exactly, floats with
+    Neumaier's compensated addition."""
+    total, comp = start, 0.0
+    for x in items:
+        if type(total) is int and type(x) is int:
+            total += x
+            continue
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_compensated_sum_differs_from_left_to_right():
+    tenths = [0.1] * 10
+    left_to_right = 0.0
+    for x in tenths:
+        left_to_right += x
+    assert left_to_right != 1.0 == compensated_sum(tenths)
+    assert compensated_sum([2**60, 1, -(2**60)]) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_does_not_depend_on_sum(name, fixture_dir, monkeypatch):
+    """The kernel adds its floats in a fixed order, so a compensated sum()
+    in `indicators`, as on CPython 3.12, leaves every byte as it is."""
+    monkeypatch.setattr(indicators, "sum", compensated_sum, raising=False)
+    indicators.harmonic.cache_clear()
+    try:
+        code, out = run_case(name, fixture_dir)
+    finally:
+        indicators.harmonic.cache_clear()
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 

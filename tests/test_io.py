@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -79,6 +80,17 @@ class TestParseDataset:
     def test_malformed_json(self):
         with pytest.raises(FormatError, match="malformed"):
             parse_dataset("{not json")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter sets no limit on the digits of an int",
+    )
+    def test_integer_over_the_digit_limit_is_malformed_json(self):
+        """json.loads refuses such an int with a plain ValueError, which is
+        no JSONDecodeError."""
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(FormatError, match="malformed JSON: Exceeds the limit"):
+            parse_dataset(f'{{"schema_version": {digits}}}')
 
     def test_missing_field_named(self):
         doc = json.loads(MINIMAL_DOC)

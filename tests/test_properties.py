@@ -96,11 +96,13 @@ def test_profile_consistent_with_direct_formula(counts_map, n):
 
 
 def _reference_iv(window):
-    """The Impact Vitality formula as first written: generator sums and an
-    uncached harmonic number."""
+    """The Impact Vitality formula in one loop, with an uncached harmonic
+    number. Its float sums add left to right, as the kernel's do."""
     n = len(window)
-    weighted = sum(c / i for i, c in enumerate(window, start=1))
-    harmonic = sum(1.0 / i for i in range(1, n + 1))
+    weighted = harmonic = 0.0
+    for i, c in enumerate(window, start=1):
+        weighted += c / i
+        harmonic += 1.0 / i
     return (n * (weighted / sum(window)) - 1.0) / (harmonic - 1.0)
 
 
