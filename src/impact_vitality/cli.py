@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import io as ivio
+from . import model
 from .cohort import CandidateProfile, RangeStat, cohort_summary
 from .filters import FilterSet, most_cited_publication
 from .indicators import (
@@ -30,7 +31,6 @@ from .indicators import (
 from .model import (
     CitationDataset,
     Severity,
-    _year_max,
     citation_counts_per_publication,
     has_errors,
     validate_dataset,
@@ -95,8 +95,8 @@ def _checked_dataset(text: str) -> CitationDataset:
 
 
 def _year_arg(name: str, year: Optional[int]) -> Optional[int]:
-    """The year itself, if it lies in [YEAR_MIN, _year_max()]."""
-    problem = year_error(name, year, _year_max())
+    """The year itself, if it lies in [YEAR_MIN, YEAR_MAX]."""
+    problem = year_error(name, year)
     if problem:
         raise UsageError(problem)
     return year
@@ -118,7 +118,7 @@ def parse_window_arg(arg: str) -> WindowSpec:
     try:
         if parts[0] == "moving" and len(parts) == 2:
             window = MovingWindow(n=int(parts[1]))
-            _year_arg(f"--window {arg} reaches back to", _year_max() - window.n + 1)
+            _year_arg(f"--window {arg} reaches back to", model.YEAR_MAX - window.n + 1)
             return window
         if parts[0] == "fixed" and len(parts) in (2, 3):
             start = _year_arg("--window start", int(parts[1]))

@@ -21,7 +21,6 @@ from .model import (
     Publication,
     TargetAuthor,
     YearlyCitingCounts,
-    _year_max,
     year_error,
 )
 
@@ -176,10 +175,18 @@ def emit_dataset(ds: CitationDataset) -> str:
     return json.dumps(_json_obj(ds, "dataset"), indent=2, sort_keys=True) + "\n"
 
 
-def _check_year(what: str, year: Optional[int], year_max: int) -> None:
-    problem = year_error(what, year, year_max)
+def _check_year(what: str, year: Optional[int]) -> None:
+    problem = year_error(what, year)
     if problem:
         raise FormatError(problem)
+
+
+def _int(cell: str) -> int:
+    """The integer in a CSV cell of ASCII digits with an optional sign and
+    blanks around. int() alone would also read "1_0" and non-ASCII digits."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"not an integer: {cell!r}")
+    return int(cell)
 
 
 def _csv_rows(document: str, what: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -210,8 +217,8 @@ def parse_counts(document: str) -> YearlyCitingCounts:
     counts: dict[int, int] = {}
     for lineno, row in _csv_rows(document, "counts file", COUNTS_HEADER):
         try:
-            year = int(row[0])
-            count = int(row[1])
+            year = _int(row[0])
+            count = _int(row[1])
         except ValueError:
             raise FormatError(f"counts file line {lineno}: non-integer value") from None
         if count < 0:
@@ -221,9 +228,8 @@ def parse_counts(document: str) -> YearlyCitingCounts:
         if year in counts:
             raise FormatError(f"counts file line {lineno}: duplicate year {year}")
         counts[year] = count
-    year_max = _year_max()
     for year in (min(counts, default=None), max(counts, default=None)):
-        _check_year("counts file: year", year, year_max)
+        _check_year("counts file: year", year)
     return YearlyCitingCounts(counts)
 
 
@@ -283,7 +289,6 @@ def parse_manifest(document: str) -> list[dict]:
     career_start_year may be blank; candidate ids are unique.
     """
     header = ("candidate_id", "selected", "call_year", "career_start_year", "path")
-    year_max = _year_max()
     entries = []
     seen_ids: set[str] = set()
     for lineno, row in _csv_rows(document, "manifest", header):
@@ -295,12 +300,12 @@ def parse_manifest(document: str) -> list[dict]:
         if sel not in {"true", "false", "1", "0", "yes", "no"}:
             raise FormatError(f"manifest line {lineno}: bad selected flag {row[1]!r}")
         try:
-            call_year = int(row[2])
-            start: Optional[int] = int(row[3]) if row[3].strip() else None
+            call_year = _int(row[2])
+            start: Optional[int] = _int(row[3]) if row[3].strip() else None
         except ValueError:
             raise FormatError(f"manifest line {lineno}: non-integer year") from None
-        _check_year(f"manifest line {lineno}: call_year", call_year, year_max)
-        _check_year(f"manifest line {lineno}: career_start_year", start, year_max)
+        _check_year(f"manifest line {lineno}: call_year", call_year)
+        _check_year(f"manifest line {lineno}: career_start_year", start)
         entries.append(
             {
                 "candidate_id": candidate_id,

@@ -8,6 +8,7 @@ lives in `indicators`.
 
 from __future__ import annotations
 
+import datetime
 import unicodedata
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -17,21 +18,17 @@ if TYPE_CHECKING:
     from .filters import FilterSet
 
 YEAR_MIN = 1800
+# Read once per process, so no run sees the bound move and tests pin it here.
+YEAR_MAX = datetime.date.today().year + 1
 
 
-def _year_max() -> int:
-    import datetime
-
-    return datetime.date.today().year + 1
-
-
-def year_error(what: str, year: Optional[int], year_max: int) -> Optional[str]:
-    """A message naming `what` if `year` lies outside [YEAR_MIN, year_max],
+def year_error(what: str, year: Optional[int]) -> Optional[str]:
+    """A message naming `what` if `year` lies outside [YEAR_MIN, YEAR_MAX],
     else None. The bound keeps the work finite: a fixed-start profile is
     quadratic in its year span."""
-    if year is None or YEAR_MIN <= year <= year_max:
+    if year is None or YEAR_MIN <= year <= YEAR_MAX:
         return None
-    return f"{what} {year} outside [{YEAR_MIN}, {year_max}]"
+    return f"{what} {year} outside [{YEAR_MIN}, {YEAR_MAX}]"
 
 
 def _strip_diacritics(s: str) -> str:
@@ -177,10 +174,8 @@ def validate_dataset(ds: CitationDataset) -> list[Finding]:
     err = lambda msg: findings.append(Finding(Severity.ERROR, msg))
     warn = lambda msg: findings.append(Finding(Severity.WARNING, msg))
 
-    year_max = _year_max()
-
     def check_year(what: str, year: Optional[int]) -> None:
-        if problem := year_error(what, year, year_max):
+        if problem := year_error(what, year):
             err(problem)
 
     pub_years: dict[str, int] = {}

@@ -21,7 +21,7 @@ from impact_vitality import (
     emit_counts,
     emit_dataset,
 )
-from impact_vitality import indicators
+from impact_vitality import indicators, model
 from impact_vitality.cli import main
 
 from conftest import TABLE5_COUNTS, make_dataset, make_target
@@ -152,6 +152,49 @@ def test_stdout_does_not_depend_on_sum(name, fixture_dir, monkeypatch):
         indicators.harmonic.cache_clear()
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("year_max", [2009, 2100])  # the latest fixture year, and far ahead
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_does_not_depend_on_the_year_bound(name, year_max, fixture_dir, monkeypatch):
+    monkeypatch.setattr(model, "YEAR_MAX", year_max)
+    code, out = run_case(name, fixture_dir)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+# With the year bound at 2005, below some fixture years: each year check
+# fails naming the bound. (arguments, exit status, the stderr line, or for
+# `validate` the stdout line, that names it.)
+BOUND_CASES = {
+    "counts": (["profile", "--counts", "{d}/table5.csv"], 1,
+               "impact-vitality: error: {d}/table5.csv: counts file: "
+               "year 2007 outside [1800, 2005]"),
+    "dataset": (["validate", "{d}/author.json"], 1,
+                "ERROR: citing record 'c1' year 2008 outside [1800, 2005]"),
+    "manifest": (["cohort", "{d}/manifest.csv"], 1,
+                 "impact-vitality: error: {d}/manifest.csv: manifest line 2: "
+                 "call_year 2007 outside [1800, 2005]"),
+    "year_arg": (["indicators", "{d}/author.json", "--year", "2006"], 2,
+                 "impact-vitality: usage error: --year 2006 outside [1800, 2005]"),
+    "moving_window": (["profile", "--counts", "{d}/table5.csv", "--window", "moving:207"], 2,
+                      "impact-vitality: usage error: --window moving:207 reaches back to 1799 "
+                      "outside [1800, 2005]"),
+    "fixed_window": (["profile", "--counts", "{d}/table5.csv", "--window", "fixed:2006"], 2,
+                     "impact-vitality: usage error: --window start 2006 outside [1800, 2005]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_every_year_check_reads_the_one_bound(case, fixture_dir, monkeypatch, capsys):
+    monkeypatch.setattr(model, "YEAR_MAX", 2005)
+    args, code, line = BOUND_CASES[case]
+    assert main([arg.format(d=fixture_dir) for arg in args]) == code
+    out, err = capsys.readouterr()
+    if args[0] == "validate":
+        assert line.format(d=fixture_dir) in out.splitlines()
+    else:
+        assert err == line.format(d=fixture_dir) + "\n"
 
 
 # Every record up to 1994 is a self-citation, so `--filter self-citations`

@@ -340,6 +340,14 @@ class TestParseCounts:
         with pytest.raises(FormatError, match="negative"):
             parse_counts("year,count\n2007,-3\n")
 
+    @pytest.mark.parametrize("row", ["20_01,10", "2001,1_0", "２００２,5", "2002,\u0665"])
+    def test_integer_cells_are_ascii_digits(self, row):
+        with pytest.raises(FormatError, match="^counts file line 3: non-integer value$"):
+            parse_counts(f"year,count\n2000,1\n{row}\n")
+
+    def test_integer_cells_take_a_sign_and_blanks(self):
+        assert parse_counts("year,count\n 2001 ,+5\n2002,\t6\n").counts == {2001: 5, 2002: 6}
+
     def test_count_limit_is_the_largest_exact_float_integer(self):
         assert parse_counts(f"year,count\n2007,{2**53 - 1}\n").counts == {2007: 2**53 - 1}
         with pytest.raises(FormatError, match="line 3: count above 9007199254740991"):
@@ -414,6 +422,12 @@ class TestParseManifest:
             " a ,false,2004,,c.csv\n"
         )
         with pytest.raises(FormatError, match="line 4: duplicate candidate_id 'a'"):
+            parse_manifest(doc)
+
+    @pytest.mark.parametrize("years", ["20_04,", "2004,19_95", "２００４,", "2004,１９９５"])
+    def test_integer_cells_are_ascii_digits(self, years):
+        doc = f"candidate_id,selected,call_year,career_start_year,path\na,true,{years},a.csv\n"
+        with pytest.raises(FormatError, match="^manifest line 2: non-integer year$"):
             parse_manifest(doc)
 
     def test_bad_selected_flag(self):

@@ -1,6 +1,11 @@
 """Hypothesis property tests for the indicator math and dataset reductions."""
 
-from hypothesis import assume, given, settings
+import functools
+import math
+import sys
+from fractions import Fraction
+
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from impact_vitality import (
@@ -18,7 +23,7 @@ from impact_vitality import (
     yearly_citing_counts,
 )
 
-from conftest import make_dataset, make_target
+from conftest import TABLE5_COUNTS, make_dataset, make_target
 
 window_counts = st.lists(
     st.integers(min_value=0, max_value=10**6), min_size=2, max_size=30
@@ -160,6 +165,73 @@ def test_profile_is_bit_identical_to_reference_formula(counts_map, spec, first, 
         for p in profile.points
     ]
     assert got == _reference_profile(counts_map, spec, first, last)
+
+
+@functools.lru_cache(maxsize=None)
+def _lcm_terms(n):
+    """L = lcm(1..n) and the integers L // a for a = 1..n."""
+    lcm = math.lcm(*range(1, n + 1))
+    return lcm, [lcm // a for a in range(1, n + 1)]
+
+
+def _exact_iv(window):
+    """IV of a newest-first window, correctly rounded. With L = lcm(1..n),
+    P = sum(c_a * L/a), T = sum(c_a) and Q = sum(L/a), all integers,
+    IV = (n*P - L*T) / (T*(Q - L)), and int/int true division rounds
+    correctly."""
+    n = len(window)
+    lcm, terms = _lcm_terms(n)
+    weighted = sum(c * t for c, t in zip(window, terms))
+    total = sum(window)
+    return (n * weighted - lcm * total) / (total * (sum(terms) - lcm))
+
+
+def _fraction_iv(window):
+    """IV by the textbook formula in exact fractions."""
+    n = len(window)
+    weighted = sum(Fraction(c, a) for a, c in enumerate(window, start=1))
+    harmonic_n = sum(Fraction(1, a) for a in range(1, n + 1))
+    return float((n * weighted / sum(window) - 1) / (harmonic_n - 1))
+
+
+def _close_to_exact(value, exact):
+    """Within 32 epsilon, relative to the exact value once it exceeds 1. No
+    bound in ulps can hold: IV can be 0."""
+    return abs(value - exact) <= 32 * sys.float_info.epsilon * max(1.0, abs(exact))
+
+
+# Windows up to 228 years, the span of [1800, 2027], with counts up to the
+# largest exact float integer.
+long_windows = st.integers(min_value=2, max_value=228).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=2**53 - 1), min_size=n, max_size=n)
+).filter(lambda xs: sum(xs) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_windows)
+@example([2**53 - 1] + [0] * 227)
+@example([0] * 227 + [1])
+@example([1] * 228)
+def test_iv_is_within_32_epsilon_of_the_exact_rational(window):
+    assert _close_to_exact(impact_vitality(window), _exact_iv(window))
+
+
+def test_table5_profile_is_within_32_epsilon_of_the_exact_rational():
+    checked = 0
+    for counts_map in TABLE5_COUNTS.values():
+        profile = iv_profile(YearlyCitingCounts(counts_map), FixedStart(1988, 4), 1988, 2007)
+        for pt in profile.points:
+            window = [counts_map[y] for y in range(pt.observation_year, 1987, -1)]
+            assert _close_to_exact(pt.value, _exact_iv(window))
+            checked += 1
+    assert checked == 51
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**53 - 1), min_size=2, max_size=40)
+       .filter(lambda xs: sum(xs) > 0))
+def test_exact_iv_equals_the_fraction_formula(window):
+    assert _exact_iv(window) == _fraction_iv(window)
 
 
 @given(year_counts)
