@@ -24,7 +24,6 @@ from .indicators import (
     MovingWindow,
     WindowSpec,
     ar_index,
-    h_index,
     iv_profile,
     select_h_core,
 )
@@ -117,12 +116,12 @@ def parse_window_arg(arg: str) -> WindowSpec:
     parts = arg.split(":")
     try:
         if parts[0] == "moving" and len(parts) == 2:
-            window = MovingWindow(n=int(parts[1]))
+            window = MovingWindow(n=ivio.integer(parts[1]))
             _year_arg(f"--window {arg} reaches back to", model.YEAR_MAX - window.n + 1)
             return window
         if parts[0] == "fixed" and len(parts) in (2, 3):
-            start = _year_arg("--window start", int(parts[1]))
-            min_length = int(parts[2]) if len(parts) == 3 else DEFAULT_MIN_WINDOW
+            start = _year_arg("--window start", ivio.integer(parts[1]))
+            min_length = ivio.integer(parts[2]) if len(parts) == 3 else DEFAULT_MIN_WINDOW
             return FixedStart(start_year=start, min_length=min_length)
     except ValueError as exc:
         raise UsageError(f"invalid --window {arg!r}: {exc}") from exc
@@ -222,8 +221,8 @@ def cmd_indicators(args) -> int:
         counts = yearly_citing_counts(ds, fs)
 
         pubs = [(p.id, per_pub[p.id], p.year) for p in ds.publications if p.year <= year]
-        h = h_index([cites for _, cites, _ in pubs])
-        ar = ar_index(select_h_core(pubs, year))
+        core = select_h_core(pubs, year)
+        h, ar = len(core), ar_index(core)
 
         spec = _growing_window(counts, ds)
         first = min(counts.min_year(), spec.start_year)
@@ -353,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="self-citations or cites-only:<pubid|most-cited>; repeatable, but cites-only: once",
     )
-    p.add_argument("--from", dest="from_year", type=int, help="first observation year")
-    p.add_argument("--to", dest="to_year", type=int, help="last observation year")
+    p.add_argument("--from", dest="from_year", type=ivio.integer, help="first observation year")
+    p.add_argument("--to", dest="to_year", type=ivio.integer, help="last observation year")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("indicators", help="emit h-index, AR-index and the latest IV point")
     p.add_argument("dataset")
-    p.add_argument("--year", type=int, help="observation year (default: latest citing year)")
+    p.add_argument("--year", type=ivio.integer, help="observation year (default: latest citing year)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_indicators)
 

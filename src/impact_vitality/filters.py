@@ -4,7 +4,9 @@ A FilterSet can exclude self-citing records (an author matches one of the
 target's name variants), records citing only one designated publication
 (outlier analysis), or both. Together with no filter these give the three
 regimes of the paper's Table 5. Document types are carried by the dataset
-format, but no filter reads them.
+format, but no filter reads them. `apply_filters` returns the surviving
+records themselves, in dataset order, and the reductions in `model` count
+them as they are.
 """
 
 from __future__ import annotations
@@ -12,16 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import CitationDataset, CitingRecord, TargetAuthor
+from .model import CitationDataset, CitingRecord, TargetAuthor, citation_counts_per_publication
 
 
 @dataclass(frozen=True)
 class FilterSet:
     exclude_self_citations: bool = False
     exclude_citing_only: Optional[str] = None  # publication id
-
-
-EMPTY_FILTERS = FilterSet()
 
 
 def is_self_citing(rec: CitingRecord, target: TargetAuthor) -> bool:
@@ -40,26 +39,24 @@ def most_cited_publication(ds: CitationDataset) -> str:
     Ties go to the older publication year, then the lexicographically
     smaller id.
     """
-    from .model import citation_counts_per_publication
-
     if not ds.citing_records:
         raise ValueError("dataset has no citing records")
-    counts = citation_counts_per_publication(ds, EMPTY_FILTERS)
+    counts = citation_counts_per_publication(ds, FilterSet())
     pubs = sorted(ds.publications, key=lambda p: (-counts[p.id], p.year, p.id))
     return pubs[0].id
 
 
-def apply_filters(ds: CitationDataset, fs: FilterSet) -> set[str]:
-    """Ids of citing records passing every active clause."""
+def apply_filters(ds: CitationDataset, fs: FilterSet) -> list[CitingRecord]:
+    """The citing records passing every active clause, in dataset order."""
     citing_only = fs.exclude_citing_only
     if citing_only is not None and all(pub.id != citing_only for pub in ds.publications):
         raise ValueError(f"exclude_citing_only references unknown publication {citing_only!r}")
 
-    surviving: set[str] = set()
+    surviving: list[CitingRecord] = []
     for rec in ds.citing_records:
         if fs.exclude_self_citations and is_self_citing(rec, ds.target):
             continue
         if citing_only is not None and cites_only(rec, citing_only):
             continue
-        surviving.add(rec.id)
+        surviving.append(rec)
     return surviving

@@ -181,9 +181,10 @@ def _check_year(what: str, year: Optional[int]) -> None:
         raise FormatError(problem)
 
 
-def _int(cell: str) -> int:
-    """The integer in a CSV cell of ASCII digits with an optional sign and
-    blanks around. int() alone would also read "1_0" and non-ASCII digits."""
+def integer(cell: str) -> int:
+    """The integer in a CSV cell or a command-line argument: ASCII digits with
+    an optional sign and blanks around. int() alone would also read "1_0" and
+    non-ASCII digits."""
     if not cell.isascii() or "_" in cell:
         raise ValueError(f"not an integer: {cell!r}")
     return int(cell)
@@ -217,8 +218,8 @@ def parse_counts(document: str) -> YearlyCitingCounts:
     counts: dict[int, int] = {}
     for lineno, row in _csv_rows(document, "counts file", COUNTS_HEADER):
         try:
-            year = _int(row[0])
-            count = _int(row[1])
+            year = integer(row[0])
+            count = integer(row[1])
         except ValueError:
             raise FormatError(f"counts file line {lineno}: non-integer value") from None
         if count < 0:
@@ -300,8 +301,8 @@ def parse_manifest(document: str) -> list[dict]:
         if sel not in {"true", "false", "1", "0", "yes", "no"}:
             raise FormatError(f"manifest line {lineno}: bad selected flag {row[1]!r}")
         try:
-            call_year = _int(row[2])
-            start: Optional[int] = _int(row[3]) if row[3].strip() else None
+            call_year = integer(row[2])
+            start: Optional[int] = integer(row[3]) if row[3].strip() else None
         except ValueError:
             raise FormatError(f"manifest line {lineno}: non-integer year") from None
         _check_year(f"manifest line {lineno}: call_year", call_year)

@@ -226,11 +226,9 @@ def yearly_citing_counts(ds: CitationDataset, fs: "FilterSet") -> YearlyCitingCo
     """
     from .filters import apply_filters
 
-    surviving = apply_filters(ds, fs)
     counts: dict[int, int] = {}
-    for rec in ds.citing_records:
-        if rec.id in surviving:
-            counts[rec.year] = counts.get(rec.year, 0) + 1
+    for rec in apply_filters(ds, fs):
+        counts[rec.year] = counts.get(rec.year, 0) + 1
     return YearlyCitingCounts(counts)
 
 
@@ -242,13 +240,11 @@ def citation_counts_per_publication(ds: CitationDataset, fs: "FilterSet") -> dic
     """
     from .filters import apply_filters
 
-    surviving = apply_filters(ds, fs)
     counts = {pub.id: 0 for pub in ds.publications}
     try:
-        for rec in ds.citing_records:
-            if rec.id in surviving:
-                for pub_id in rec.cited_target_pub_ids:
-                    counts[pub_id] += 1
+        for rec in apply_filters(ds, fs):
+            for pub_id in rec.cited_target_pub_ids:
+                counts[pub_id] += 1
     except KeyError:  # a dataset that skipped validate_dataset
         raise ValueError(
             f"citing record {rec.id!r} references unknown publication {pub_id!r}"

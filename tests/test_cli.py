@@ -54,7 +54,7 @@ class TestValidate:
         assert main(["validate", "/nonexistent.json"]) == 1
 
     def test_wrong_json_type_exits_one(self, dataset_file, capsys):
-        doc = json.loads(open(dataset_file).read())
+        doc = json.loads(Path(dataset_file).read_text())
         doc["citing_records"][0]["year"] = "2003"
         with open(dataset_file, "w") as f:
             json.dump(doc, f)
@@ -64,7 +64,7 @@ class TestValidate:
         assert "usage" not in err
 
     def test_lists_every_unknown_cited_id(self, dataset_file, capsys):
-        doc = json.loads(open(dataset_file).read())
+        doc = json.loads(Path(dataset_file).read_text())
         doc["citing_records"][0]["cited_target_pub_ids"] = ["ghost"]
         doc["citing_records"][1]["cited_target_pub_ids"] = ["pA", "phantom"]
         with open(dataset_file, "w") as f:
@@ -303,7 +303,7 @@ class TestCohort:
         assert "line 9: duplicate candidate_id 'grow1'" in capsys.readouterr().err
 
     def test_dataset_entries_are_validated(self, tmp_path, dataset_file, capsys):
-        doc = json.loads(open(dataset_file).read())
+        doc = json.loads(Path(dataset_file).read_text())
         doc["publications"].append(dict(doc["publications"][0]))
         (tmp_path / "dup.json").write_text(json.dumps(doc))
         (tmp_path / "m.csv").write_text(
@@ -377,6 +377,29 @@ def test_exit_code_rule(case, code, tmp_path, table5_csv, dataset_file, empty_da
     assert "Traceback" not in err
     if code == 1:
         assert str(named) in err
+
+
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        (["profile", "--from", "20_03"], "argument --from: invalid integer value: '20_03'"),
+        (["profile", "--to", "２００７"], "argument --to: invalid integer value: '２００７'"),
+        (["profile", "--window", "fixed:２０００"], "invalid --window 'fixed:２０００': not an integer"),
+        (["profile", "--window", "fixed:2000:٤"], "invalid --window 'fixed:2000:٤': not an integer"),
+        (["profile", "--window", "moving:1_0"], "invalid --window 'moving:1_0': not an integer"),
+        (["indicators", "--year", "２００３"], "argument --year: invalid integer value: '２００３'"),
+    ],
+    ids=["from_underscore", "to_fullwidth", "window_start_fullwidth", "window_minlen_arabic_indic",
+         "moving_underscore", "year_fullwidth"],
+)
+def test_integer_arguments_follow_the_csv_rule(argv, culprit, table5_csv, dataset_file, capsys):
+    """int() alone reads "1_0" and non-ASCII digits, which a counts file
+    cell may not hold; an argument may not either."""
+    source = ["--counts", table5_csv] if argv[0] == "profile" else [dataset_file]
+    assert main([argv[0], *source, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert culprit in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

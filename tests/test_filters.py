@@ -6,6 +6,7 @@ from impact_vitality import (
     AuthorKey,
     FilterSet,
     apply_filters,
+    citation_counts_per_publication,
     cites_only,
     is_self_citing,
     most_cited_publication,
@@ -108,7 +109,7 @@ def build_mixed_dataset():
 class TestApplyFilters:
     def test_empty_filter_is_identity(self):
         ds = build_mixed_dataset()
-        assert apply_filters(ds, FilterSet()) == {r.id for r in ds.citing_records}
+        assert apply_filters(ds, FilterSet()) == list(ds.citing_records)
 
     def test_count_arithmetic_self_citations(self):
         # 316 records of which 9 self-citing -> 307 survivors
@@ -147,7 +148,7 @@ class TestApplyFilters:
         ds = build_mixed_dataset()
         for exclude_self, citing_only in itertools.product([False, True], [None, "pA"]):
             fs = FilterSet(exclude_self_citations=exclude_self, exclude_citing_only=citing_only)
-            expected = set()
+            expected = []
             for rec in ds.citing_records:
                 ok = True
                 if fs.exclude_self_citations and rec.authors & ds.target.name_variants:
@@ -157,7 +158,7 @@ class TestApplyFilters:
                 }:
                     ok = False
                 if ok:
-                    expected.add(rec.id)
+                    expected.append(rec)
             assert apply_filters(ds, fs) == expected
 
     def test_adding_clause_never_enlarges(self):
@@ -166,7 +167,7 @@ class TestApplyFilters:
         strong = apply_filters(
             ds, FilterSet(exclude_self_citations=True, exclude_citing_only="pA")
         )
-        assert strong <= weak <= {r.id for r in ds.citing_records}
+        assert set(strong) <= set(weak) <= set(ds.citing_records)
 
     def test_clause_order_irrelevant(self):
         # conjunction is symmetric by construction; spot-check via two routes
@@ -176,4 +177,16 @@ class TestApplyFilters:
         )
         route_a = apply_filters(ds, FilterSet(exclude_self_citations=True))
         route_b = apply_filters(ds, FilterSet(exclude_citing_only="pA"))
-        assert both == route_a & route_b
+        assert both == [rec for rec in route_a if rec in route_b]
+
+    def test_records_sharing_an_id_are_counted_apart(self):
+        # Nothing but validate_dataset rejects repeated ids, so the reductions
+        # must count the surviving records themselves, not their ids.
+        ds = make_dataset(
+            [("p1", 2000)],
+            [("c1", 2001, {"p1"}, [("smith", "ja")]), ("c1", 2002, {"p1"}, [("jones", "k")])],
+        )
+        fs = FilterSet(exclude_self_citations=True)
+        assert yearly_citing_counts(ds, fs).counts == {2002: 1}
+        assert citation_counts_per_publication(ds, fs) == {"p1": 1}
+        assert apply_filters(ds, fs) == [ds.citing_records[1]]
