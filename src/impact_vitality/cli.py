@@ -93,6 +93,11 @@ def _checked_dataset(text: str) -> CitationDataset:
     return ds
 
 
+def _as_of(ds: CitationDataset, year: int) -> CitationDataset:
+    """`ds` as of `year`: only the citing records dated by then."""
+    return replace(ds, citing_records=[r for r in ds.citing_records if r.year <= year])
+
+
 def _year_arg(name: str, year: Optional[int]) -> Optional[int]:
     """The year itself, if it lies in [YEAR_MIN, YEAR_MAX]."""
     problem = year_error(name, year)
@@ -184,6 +189,8 @@ def cmd_profile(args) -> int:
             ds = None
         else:
             ds = _checked_dataset(_read(path))
+            if last is not None:  # later records neither count nor choose most-cited
+                ds = _as_of(ds, last)
             fs = parse_filter_args(args.filter or [], ds)
             counts = yearly_citing_counts(ds, fs)
 
@@ -213,7 +220,7 @@ def cmd_indicators(args) -> int:
             year = max(r.year for r in ds.citing_records)
         # As of `year`: only the records dated by then count, and only the
         # publications out by then enter the h-core.
-        ds = replace(ds, citing_records=[r for r in ds.citing_records if r.year <= year])
+        ds = _as_of(ds, year)
         if not ds.citing_records:
             raise ValueError(f"no citing records dated {year} or earlier")
         fs = FilterSet()
@@ -332,8 +339,16 @@ def cmd_cohort(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own failures are usage errors like any other,
+    so that they print one line in the same format."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="Impact Vitality citation analytics: profiles, indicators, cohorts.",
     )
@@ -372,13 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help, after printing it
+        return exc.code
     except UsageError as exc:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return 2

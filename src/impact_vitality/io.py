@@ -52,7 +52,10 @@ class FormatError(ValueError):
 # is None, and an absent optional field takes the model's default. The nested
 # kind names the SCHEMA kind of an object field or of a list's items (str for
 # a list of strings, None for a scalar). `parse_dataset` and `emit_dataset`
-# both walk this table; the field names match the model dataclasses.
+# both walk this table; the field names match the model dataclasses. The
+# emitted text is that of json.dumps(document, indent=2, sort_keys=True),
+# written from this table in one pass (`_EMITTED` gives each kind's fields
+# in key order).
 _STR, _INT, _LIST, _OBJ = (str,), (int,), (list,), (dict,)
 _YEAR = ((int, type(None)), False, None)
 SCHEMA = {
@@ -147,32 +150,75 @@ def parse_dataset(document: str) -> CitationDataset:
     return _parse(raw, "dataset", "dataset", {})
 
 
-def _json_obj(value: Any, kind: str) -> dict:
-    """The JSON object for the model `value` of `kind`: the fields SCHEMA
-    names, None left out, frozensets sorted, nested kinds converted in turn.
-    Fields are read with getattr: on CPython 3.11, `vars()` would give each
-    instance a dict of its own for good, which measured slower."""
-    obj = {}
-    for name, (types, _, nested) in SCHEMA[kind].items():
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps uses with ensure_ascii
+# Each kind's fields in emitted order, by name as sort_keys gives: (name, the
+# key as written, nested kind, whether the field is a list).
+_EMITTED = {
+    kind: tuple((name, f"{_quote(name)}: ", nested, types is _LIST)
+                for name, (types, _, nested) in sorted(fields.items()))
+    for kind, fields in SCHEMA.items()
+}
+_NEWLINE = tuple("\n" + "  " * depth for depth in range(8))  # deeper than SCHEMA nests
+
+
+def _scalar(value: Any, depth: int) -> str:
+    """The JSON text of a field value on a line at `depth`."""
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    # a bool, a float or anything else a hand-built model holds
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", _NEWLINE[depth])
+
+
+def _text(value: Any, kind: str, depth: int, memo: dict) -> str:
+    """The JSON text of the model `value` of `kind`, an object that opens on
+    a line at `depth`: the fields SCHEMA names, None left out, frozensets
+    sorted, nested kinds written in turn. The text of an author is kept in
+    `memo` by (key, depth), as one key recurs across records."""
+    inner = _NEWLINE[depth + 1]
+    parts = []
+    for name, key, nested, is_list in _EMITTED[kind]:
         field = SCHEMA_VERSION if name == "schema_version" else getattr(value, name)
         if field is None:
             continue
+        if not is_list:
+            if nested is None:
+                parts.append(key + _scalar(field, depth + 1))
+            else:
+                parts.append(key + _text(field, nested, depth + 1, memo))
+            continue
         if type(field) is frozenset:
             field = sorted(field)
-        if nested is None or nested is str:
-            obj[name] = field
-        elif types is _OBJ:
-            obj[name] = _json_obj(field, nested)
+        if not field:
+            parts.append(key + "[]")
+            continue
+        items, at = [], depth + 2
+        # loops, for the reason given in `_parse`
+        if nested is str:
+            for item in field:
+                items.append(_scalar(item, at))
+        elif nested == "author":
+            for item in field:
+                text = memo.get((item, at))
+                if text is None:
+                    text = memo[item, at] = _text(item, nested, at, memo)
+                items.append(text)
         else:
-            obj[name] = items = []
-            for item in field:  # a loop, for the reason given in `_parse`
-                items.append(_json_obj(item, nested))
-    return obj
+            for item in field:
+                items.append(_text(item, nested, at, memo))
+        item_line = _NEWLINE[at]
+        parts.append(f"{key}[{item_line}{(',' + item_line).join(items)}{inner}]")
+    if not parts:
+        return "{}"
+    return f"{{{inner}{(',' + inner).join(parts)}{_NEWLINE[depth]}}}"
 
 
 def emit_dataset(ds: CitationDataset) -> str:
-    """Serialize a dataset; parse(emit(ds)) reconstructs an equal dataset."""
-    return json.dumps(_json_obj(ds, "dataset"), indent=2, sort_keys=True) + "\n"
+    """Serialize a dataset; parse(emit(ds)) reconstructs an equal dataset.
+    The text is that of json.dumps(document, indent=2, sort_keys=True),
+    written straight from SCHEMA."""
+    return _text(ds, "dataset", 0, {}) + "\n"
 
 
 def _check_year(what: str, year: Optional[int]) -> None:

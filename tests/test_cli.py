@@ -1,17 +1,30 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import impact_vitality
-from impact_vitality import FilterSet, YearlyCitingCounts, emit_counts, emit_dataset, parse_dataset
+from impact_vitality import (
+    FilterSet,
+    YearlyCitingCounts,
+    emit_counts,
+    emit_dataset,
+    parse_dataset,
+    validate_dataset,
+)
 from impact_vitality.cli import main, parse_filter_args
+from impact_vitality.model import has_errors
 
 from conftest import TABLE5_COUNTS, TABLE5_PRINTED_IV, make_dataset, make_target
 
@@ -252,6 +265,66 @@ class TestIndicators:
         assert f"ds.json: no citing records dated {year} or earlier" in err
 
 
+@st.composite
+def valid_datasets(draw):
+    """Small datasets that pass `validate_dataset`, with self-citations and
+    records citing one publication only."""
+    pubs = [(f"p{i}", draw(st.integers(1995, 2001))) for i in range(draw(st.integers(1, 3)))]
+    names = st.sampled_from([("smith", "ja"), ("smith", "j"), ("jones", "k"), ("lee", "")])
+    records = [
+        (f"c{i}", draw(st.integers(2000, 2008)),
+         draw(st.frozensets(st.sampled_from([pid for pid, _ in pubs]), min_size=1)),
+         draw(st.lists(names, max_size=2)))
+        for i in range(draw(st.integers(1, 14)))
+    ]
+    target = make_target(variants=[("smith", "j")],
+                         career_start_year=draw(st.none() | st.integers(1996, 2004)))
+    return make_dataset(pubs, records, target=target)
+
+
+def _overtaken():
+    """p1 leads through 2005; p2 overtakes it from 2006 to 2009."""
+    records = [(f"a{y}{i}", y, {"p1"}) for y in range(2001, 2006) for i in range(2)]
+    records += [(f"b{y}", y, {"p2"}) for y in range(2001, 2006)]
+    records += [(f"b{y}{i}", y, {"p2"}) for y in range(2006, 2010) for i in range(5)]
+    return make_dataset([("p1", 2000), ("p2", 2000)], records)
+
+
+def _run(argv, path):
+    """The exit status, stdout and stderr of `main(argv + [path])`, with
+    `path` written as "DATASET" in stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, str(path)])
+    return code, out.getvalue(), err.getvalue().replace(str(path), "DATASET")
+
+
+FILTER_ARGS = [[], ["self-citations"], ["cites-only:most-cited"], ["cites-only:p0"],
+               ["self-citations", "cites-only:most-cited"], ["self-citations", "cites-only:p0"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_datasets(), st.integers(0, 9), st.sampled_from(FILTER_ARGS),
+       st.sampled_from([[], ["--window", "moving:3"]]))
+@example(_overtaken(), 4, ["cites-only:most-cited"], [])
+def test_output_as_of_a_year_uses_no_later_record(ds, offset, filters, window):
+    """`profile --to Y` and `indicators --year Y` print the same for a
+    dataset as for the dataset cut after Y: later records change nothing,
+    not even which publication is the most cited."""
+    assert not has_errors(validate_dataset(ds))
+    year = min(r.year for r in ds.citing_records) + offset
+    cut = dataclasses.replace(ds, citing_records=[r for r in ds.citing_records if r.year <= year])
+    profile = ["profile", "--to", str(year), "--format", "json", *window]
+    profile += [arg for f in filters for arg in ("--filter", f)]
+    indicators = ["indicators", "--year", str(year), "--format", "json"]
+    with tempfile.TemporaryDirectory() as tmp:
+        full_path, cut_path = Path(tmp, "full.json"), Path(tmp, "cut.json")
+        full_path.write_text(emit_dataset(ds))
+        cut_path.write_text(emit_dataset(cut))
+        for argv in (profile, indicators):
+            assert _run(argv, full_path) == _run(argv, cut_path), argv
+
+
 class TestCohort:
     def make_manifest(self, tmp_path):
         rows = ["candidate_id,selected,call_year,career_start_year,path"]
@@ -340,6 +413,9 @@ def empty_dataset_file(tmp_path):
         ("reversed_range", 2),
         ("unknown_filter", 2),
         ("year_out_of_range", 2),
+        ("argument_not_an_integer", 2),
+        ("unknown_option", 2),
+        ("missing_command", 2),
     ],
 )
 def test_exit_code_rule(case, code, tmp_path, table5_csv, dataset_file, empty_dataset_file, capsys):
@@ -370,13 +446,26 @@ def test_exit_code_rule(case, code, tmp_path, table5_csv, dataset_file, empty_da
         "reversed_range": (["profile", "--from", "1994", "--to", "1990", "--counts"], table5_csv),
         "unknown_filter": (["profile", "--filter", "bogus"], dataset_file),
         "year_out_of_range": (["indicators", "--year", "3000000"], dataset_file),
+        "argument_not_an_integer": (["profile", "--from", "20_03", "--counts"], table5_csv),
+        "unknown_option": (["profile", "--smooth", "--counts"], table5_csv),
+        "missing_command": ([], None),
     }[case]
-    assert main([*argv, str(named)]) == code
+    assert main([*argv, str(named)] if named else argv) == code
     err = capsys.readouterr().err
     assert err.startswith("impact-vitality:")
+    assert err.count("\n") == 1
+    assert "usage:" not in err
     assert "Traceback" not in err
     if code == 1:
         assert str(named) in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["profile", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: impact-vitality")
+    assert err == ""
 
 
 @pytest.mark.parametrize(

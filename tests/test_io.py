@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import sys
 
 import pytest
@@ -281,6 +282,7 @@ chars = st.one_of(st.sampled_from('a\x00\x1f\x7f"\\\u0301é\u2028ñ .ß'), st.ch
 texts = st.text(chars, max_size=6)
 surnames = st.text(chars, min_size=1, max_size=6).filter(normalize_surname)
 keys = st.builds(AuthorKey, surnames, texts)
+SHARED = AuthorKey("Ñ\ud800ez", "\U0001f600.")  # a lone surrogate and a non-BMP character
 years = st.none() | st.integers(min_value=-10**6, max_value=10**6)
 datasets = st.builds(
     CitationDataset,
@@ -308,10 +310,54 @@ datasets = st.builds(
     publications=[Publication("p\u2028", 1990, label=None)],
     citing_records=[CitingRecord("c\"1", 1991, authors=(), cited_target_pub_ids={"p\u2028"})],
 ))
+@example(CitationDataset(  # one key as target, variant and author, at three depths
+    TargetAuthor(SHARED, name_variants={SHARED, AuthorKey("lee")}),
+    publications=[Publication("p", 1990)],
+    citing_records=[CitingRecord("c", 1991, authors={SHARED}, cited_target_pub_ids={"p"}),
+                    CitingRecord("d", 1992, authors={SHARED, AuthorKey("lee")},
+                                 cited_target_pub_ids={"p"})],
+))
 def test_emit_matches_reference_bytes_and_round_trips(ds):
     text = emit_dataset(ds)
     assert text == _reference_emit(ds)
     assert parse_dataset(text) == ds
+
+
+def test_emit_writes_other_scalars_as_json_does():
+    """A hand-built model may hold a bool, a float or a list where the format
+    has an int or a str; the bytes are still those of json.dumps. Such text
+    does not parse."""
+    ds = CitationDataset(
+        TargetAuthor(SHARED, career_start_year=True, first_citation_year=False),
+        publications=[Publication("p", 1990.5), Publication("q", 2.5e300, label=("x", [1.5]))],
+    )
+    assert emit_dataset(ds) == _reference_emit(ds)
+    # with every field None left out, an object is written as json.dumps writes {}
+    ds = CitationDataset(TargetAuthor(SHARED), publications=[Publication(None, None, None)])
+    assert '\n  "publications": [\n    {}\n  ],\n' in emit_dataset(ds)
+
+
+def _seeded_dataset(seed, n_pubs, n_records):
+    """A dataset of repeated, accented and escaped names, drawn from `seed`."""
+    rng = random.Random(seed)
+    names = [AuthorKey(rng.choice(["Smith", "Müller", "Núñez", "O'Neil", "Lee", 'Qu"ote']) + str(i),
+                       rng.choice(["", "J.A.", "é", "k\t"]))
+             for i in range(n_records // 20)]
+    pubs = [Publication(f"p{i}", rng.randint(1980, 2010), rng.choice(["article", "review"]),
+                        rng.choice([None, f"Título {i}"]))
+            for i in range(n_pubs)]
+    records = [
+        CitingRecord(f"c{i}", rng.randint(1981, 2020), rng.sample(names, rng.randint(0, 6)),
+                     {p.id for p in rng.sample(pubs, rng.randint(1, 3))}, "article")
+        for i in range(n_records)
+    ]
+    target = TargetAuthor(names[0], name_variants=names[1:4], career_start_year=1979)
+    return CitationDataset(target, pubs, records)
+
+
+def test_emit_of_2000_records_matches_reference_bytes():
+    ds = _seeded_dataset(11, 100, 2000)
+    assert emit_dataset(ds) == _reference_emit(ds)
 
 
 class TestParseCounts:
