@@ -39,6 +39,10 @@ from .model import (
 
 PROG = "impact-vitality"
 
+# Each character str.splitlines breaks at, as Python writes it in a str
+# literal: a diagnostic stays one line where it quotes a name holding one.
+_LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
 # Cohort statistics in output order: (text label, JSON key, CohortStats
 # field, decimals in the text table). A range prints as "min to max,
 # average mean"; the share prints as a percentage.
@@ -393,11 +397,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # --help, after printing it
         return exc.code
     except UsageError as exc:
-        print(f"{PROG}: usage error: {exc}", file=sys.stderr)
+        print(f"{PROG}: usage error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2
     except ValueError as exc:
         # DataError, FormatError and the preconditions of library code
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        print(f"{PROG}: error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 1
 
 

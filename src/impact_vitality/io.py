@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from typing import Any, Iterator, Optional
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Optional
 
 from .indicators import IVProfile
 from .model import (
@@ -124,6 +125,14 @@ def _parse(obj: Any, kind: str, context: str, keys: dict[tuple[str, str], Author
         if nested is str:
             if not all(type(item) is str for item in value):
                 raise FormatError(f"{context}: {name!r} must hold only str")
+        elif nested == "citing record":
+            # A record of the common shape is read inline; any other goes
+            # through the walker, which names what is wrong with it.
+            for i, item in enumerate(value):
+                record = _read_record(item, keys)
+                if record is None:
+                    record = _parse(item, nested, f"{prefix}{name}[{i}]", keys)
+                value[i] = record
         elif types is _LIST:
             # In place, in a loop: on Python 3.11 a comprehension makes its
             # names closure cells in every call, the many author calls too.
@@ -132,6 +141,71 @@ def _parse(obj: Any, kind: str, context: str, keys: dict[tuple[str, str], Author
         else:
             fields[name] = _parse(value, nested, f"{prefix}{name}", keys)
     return _MODELS[kind](**fields)
+
+
+def _record_reader(schema: dict) -> Callable[[Any, dict], Optional[CitingRecord]]:
+    """A reader of the "citing record" objects of the common shape under
+    `schema`, where `_parse` would spend most of a parse: a dict of the
+    kind's fields with every required one, each of exactly its JSON type,
+    its str lists holding only str and its author lists only objects that
+    parse as "author". The reader gives such an object's `CitingRecord`, and
+    None for any other object, which then goes to `_parse` to be named. It
+    changes no raw object.
+
+    An author object that has every "author" field and no other is looked
+    up in the parse's memo `keys` by its raw pair, as `_parse` stores it
+    (the fields in SCHEMA order, which is the model's); any other author
+    object goes to `_parse` itself."""
+    fields = schema["citing record"]
+    str_lists = tuple(name for name, (types, _, nested) in fields.items()
+                      if types is _LIST and nested is str)
+    author_lists = tuple(name for name, (types, _, nested) in fields.items()
+                         if types is _LIST and nested == "author")
+    # Scalars and the lists above; a record holding any other field goes to `_parse`.
+    types = {name: spec[0] for name, spec in fields.items()
+             if spec[2] is None or name in str_lists + author_lists}
+    required = frozenset(name for name, (_, is_required, _) in fields.items() if is_required)
+    author_width, author_pair = len(schema["author"]), itemgetter(*schema["author"])
+
+    def read(obj: Any, keys: dict) -> Optional[CitingRecord]:
+        if type(obj) is not dict or not obj.keys() >= required:
+            return None
+        for name, value in obj.items():
+            if type(value) not in types.get(name, ()):
+                return None
+        record = dict(obj)
+        for name in str_lists:
+            value = record.get(name)
+            if value is not None:
+                for item in value:
+                    if type(item) is not str:
+                        return None
+                record[name] = frozenset(value)
+        for name in author_lists:
+            value = record.get(name)
+            if value is None:
+                continue
+            authors = []
+            for item in value:
+                key = None
+                if type(item) is dict and len(item) == author_width:
+                    try:
+                        key = keys.get(author_pair(item))
+                    except (KeyError, TypeError):  # a field missing; a list or object value
+                        pass
+                if key is None:
+                    try:
+                        key = _parse(item, "author", name, keys)
+                    except FormatError:
+                        return None
+                authors.append(key)
+            record[name] = frozenset(authors)
+        return CitingRecord(**record)
+
+    return read
+
+
+_read_record = _record_reader(SCHEMA)
 
 
 def parse_dataset(document: str) -> CitationDataset:

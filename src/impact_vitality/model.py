@@ -32,6 +32,8 @@ def year_error(what: str, year: Optional[int]) -> Optional[str]:
 
 
 def _strip_diacritics(s: str) -> str:
+    if s.isascii():  # no ASCII character decomposes or combines
+        return s
     decomposed = unicodedata.normalize("NFKD", s)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
@@ -52,6 +54,10 @@ class AuthorKey:
 
     Inputs are normalized on construction, so constructing from an already
     normalized key is a no-op (normalization is idempotent).
+
+    The hash is computed once, as a key goes into many records' author sets.
+    It depends on the process's string hash seed, so a pickled or copied key
+    carries only its fields and hashes afresh where it is rebuilt.
     """
 
     surname: str
@@ -61,8 +67,16 @@ class AuthorKey:
         surname = normalize_surname(self.surname)
         if not surname:
             raise ValueError("AuthorKey surname must be non-empty")
+        initials = normalize_initials(self.initials)
         object.__setattr__(self, "surname", surname)
-        object.__setattr__(self, "initials", normalize_initials(self.initials))
+        object.__setattr__(self, "initials", initials)
+        object.__setattr__(self, "_hash", hash((surname, initials)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.surname, self.initials)
 
 
 @dataclass(frozen=True)

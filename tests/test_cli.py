@@ -460,6 +460,20 @@ def test_exit_code_rule(case, code, tmp_path, table5_csv, dataset_file, empty_da
         assert str(named) in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["validate", "no\nsuch\u2028file"], 1,
+         "impact-vitality: error: cannot read no\\nsuch\\u2028file: No such file or directory"),
+        (["profile", "--counts", "c.csv", "--a\rb"], 2,
+         "impact-vitality: usage error: unrecognized arguments: --a\\rb"),
+    ],
+)
+def test_a_diagnostic_quoting_a_line_break_is_one_line(argv, code, line, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr().err == line + "\n"
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["profile", "--help"]])
 def test_help_exits_zero(argv, capsys):
     assert main(argv) == 0

@@ -1,4 +1,5 @@
-"""Fuzz `main()` on counts files, cohort manifests and dataset JSON.
+"""Fuzz `main()` on counts files, cohort manifests, dataset JSON and argument
+lists.
 
 Every input must end in exit 0, 1 or 2; a non-zero exit prints a message
 starting with `impact-vitality:` on stderr (or, from `validate`, ERROR
@@ -133,6 +134,9 @@ def workdir(tmp_path_factory):
         target=make_target(career_start_year=1998),
     )
     (root / "dataset.json").write_text(emit_dataset(ds))
+    (root / "cohort.csv").write_text(
+        f"{MANIFEST_HEADER}\na,true,2007,,ok.csv\nb,false,2007,1998,dataset.json\n"
+    )
     (root / "sub").mkdir()
     return root
 
@@ -173,3 +177,55 @@ def test_main_never_raises_on_dataset_json(workdir, dataset_bytes, year):
     _check(["profile", path, "--filter", "self-citations", "--filter", "cites-only:most-cited"])
     _check(["indicators", path])
     _check(["indicators", path, "--year", str(year), "--format", "json"])
+
+
+# Argument lists: a subcommand, then files and options in any order. The
+# files are the good ones beside the fuzzed inputs, so most runs fail, if at
+# all, on the arguments alone.
+arg_junk = st.sampled_from(
+    ["", " ", "x", "-", "--", "-1", "0", "20_03", "２００３", "2003.0", "1e3", "1" + "0" * 30,
+     "a\nb", "a\rb\u2028", "\x00", "é", "--bogus", "-h"]
+)
+arg_years = mostly(st.integers(min_value=1795, max_value=2030).map(str), arg_junk)
+windows = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["moving", "fixed", "Moving", ""]), arg_years),
+    st.builds("fixed:{}:{}".format, arg_years, st.one_of(st.integers(-2, 40).map(str), arg_junk)),
+    arg_junk,
+)
+filters = mostly(
+    st.sampled_from(["self-citations", "cites-only:most-cited", "cites-only:pA",
+                     "cites-only:ghost", "cites-only:"]),
+    arg_junk,
+)
+file_args = st.sampled_from(["ok.csv", "dataset.json", "cohort.csv", "sub", "missing.json"])
+options = st.one_of(
+    st.tuples(st.just("--format"), st.sampled_from(["table", "csv", "json", "text", "xml"])),
+    st.tuples(st.just("--filter"), filters),
+    st.tuples(st.just("--window"), windows),
+    st.tuples(st.sampled_from(["--from", "--to", "--year"]), arg_years),
+    st.tuples(st.just("--counts"), file_args),
+    st.tuples(file_args),
+    st.tuples(arg_junk),
+)
+argvs = st.tuples(
+    mostly(st.sampled_from(["validate", "profile", "indicators", "cohort"]), arg_junk),
+    mostly(file_args.map(lambda f: (f,)), st.just(())),
+    st.lists(options, max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs)
+def test_main_never_raises_on_arguments(workdir, parts):
+    command, files, chunks = parts
+    named = {name: str(workdir / name) for name in ("ok.csv", "dataset.json", "cohort.csv", "sub",
+                                                     "missing.json")}
+    argv = [command, *(named.get(a, a) for a in files)]
+    argv += [named.get(a, a) for chunk in chunks for a in chunk]
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    elif not (command == "validate" and "ERROR: " in out):
+        assert err.startswith("impact-vitality:") and err.endswith("\n"), err
+        assert len(err.splitlines()) == 1, err

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +26,7 @@ from impact_vitality import (
     parse_dataset,
     parse_manifest,
 )
+from impact_vitality import io as iv_io
 from impact_vitality.io import SCHEMA
 from impact_vitality.model import normalize_surname
 
@@ -358,6 +361,178 @@ def _seeded_dataset(seed, n_pubs, n_records):
 def test_emit_of_2000_records_matches_reference_bytes():
     ds = _seeded_dataset(11, 100, 2000)
     assert emit_dataset(ds) == _reference_emit(ds)
+
+
+_GOOD_AUTHORS = [{"surname": "Jones", "initials": "K."}, {"surname": "Müller"},
+                 {"surname": "lee", "initials": "j"}]
+_DELETE = object()
+
+
+def _three_records(changes=None):
+    """A valid document of three records with three authors each, with the
+    value at each path (relative to the record list) in `changes` replaced,
+    or removed where it is `_DELETE`."""
+    doc = json.loads(MINIMAL_DOC)
+    doc["citing_records"] = [
+        {"id": f"c{i}", "year": 2003 + i, "authors": [dict(a) for a in _GOOD_AUTHORS],
+         "cited_target_pub_ids": ["p1"], "doc_type": "article"}
+        for i in range(3)
+    ]
+    for path, value in (changes or {}).items():
+        parent = doc["citing_records"]
+        for step in path[:-1]:
+            parent = parent[step]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+# One defect in record 2 (or in its author 1 or 2), after good records and
+# good authors, and the exact message the SCHEMA walker gives for it.
+RECORD_DEFECTS = [
+    ({(2, "venue"): "x"}, "citing_records[2]: unknown field 'venue'"),
+    ({(2, "id"): _DELETE}, "citing_records[2]: missing required field 'id'"),
+    ({(2, "year"): _DELETE}, "citing_records[2]: missing required field 'year'"),
+    ({(2, "cited_target_pub_ids"): _DELETE},
+     "citing_records[2]: missing required field 'cited_target_pub_ids'"),
+    ({(2, "year"): True}, "citing_records[2]: 'year' must be int, got bool"),
+    ({(2, "year"): None}, "citing_records[2]: 'year' must be int, got NoneType"),
+    ({(2, "doc_type"): None}, "citing_records[2]: 'doc_type' must be str, got NoneType"),
+    ({(2, "cited_target_pub_ids"): ["p1", 7]},
+     "citing_records[2]: 'cited_target_pub_ids' must hold only str"),
+    ({(2, "cited_target_pub_ids"): ["p1", ["p1"]]},
+     "citing_records[2]: 'cited_target_pub_ids' must hold only str"),
+    ({(2, "cited_target_pub_ids"): "p1"},
+     "citing_records[2]: 'cited_target_pub_ids' must be list, got str"),
+    ({(2, "authors"): None}, "citing_records[2]: 'authors' must be list, got NoneType"),
+    ({(2,): ["c2"]}, "citing_records[2]: expected an object, got list"),
+    ({(2, "authors", 1): "Müller"}, "citing_records[2].authors[1]: expected an object, got str"),
+    ({(2, "authors", 2, "orcid"): "x"}, "citing_records[2].authors[2]: unknown field 'orcid'"),
+    ({(2, "authors", 1, "initials"): 5},
+     "citing_records[2].authors[1]: 'initials' must be str, got int"),
+    ({(2, "authors", 1, "surname"): ["lee"]},
+     "citing_records[2].authors[1]: 'surname' must be str, got list"),
+    ({(2, "authors", 2, "surname"): _DELETE},
+     "citing_records[2].authors[2]: missing required field 'surname'"),
+    ({(2, "authors", 2, "surname"): " \u0301 "},
+     "citing_records[2].authors[2]: AuthorKey surname must be non-empty"),
+    # with two defects, the walker's order decides which is named
+    ({(2, "authors", 1): 5, (2, "venue"): "x"}, "citing_records[2]: unknown field 'venue'"),
+    ({(2, "authors", 1): 5, (2, "cited_target_pub_ids"): [7]},
+     "citing_records[2].authors[1]: expected an object, got int"),
+    ({(2, "authors", 2): 5, (1, "authors", 1): 5},
+     "citing_records[1].authors[1]: expected an object, got int"),
+]
+
+
+@pytest.mark.parametrize("changes, message", RECORD_DEFECTS)
+def test_record_defects_keep_the_walkers_message(changes, message):
+    with pytest.raises(FormatError) as info:
+        parse_dataset(_three_records(changes))
+    assert str(info.value) == message
+
+
+def _outcome(document):
+    """The dataset `document` parses to, or the type and text of its error."""
+    try:
+        return parse_dataset(document)
+    except (FormatError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _walker_only(monkeypatch, document):
+    """`_outcome(document)` with every citing record sent through `_parse`."""
+    with monkeypatch.context() as m:
+        m.setattr(iv_io, "_read_record", lambda obj, keys: None)
+        return _outcome(document)
+
+
+@pytest.mark.parametrize("changes, message", RECORD_DEFECTS)
+def test_record_defects_are_left_to_the_walker(changes, message):
+    record = json.loads(_three_records(changes))["citing_records"][2]
+    assert iv_io._read_record(record, {}) is None
+
+
+def _bench_inputs():
+    """The benchmark's input generator, bench/inputs.py."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        return importlib.import_module("inputs")
+    finally:
+        sys.path.remove(str(bench))
+
+
+def test_author_large_shaped_input_parses_as_the_walker_parses(monkeypatch):
+    inputs = _bench_inputs()
+    doc, _ = inputs.author_dataset(5, 200, 3000)
+    text = inputs.dataset_text(doc)
+    fast, slow = _outcome(text), _walker_only(monkeypatch, text)
+    assert fast == slow
+    assert emit_dataset(fast) == emit_dataset(slow)
+
+    # one key instance per distinct raw name, the target's included
+    def instances(ds):
+        keys = [*ds.target.name_variants, *(k for r in ds.citing_records for k in r.authors)]
+        return len({id(k) for k in keys})
+
+    raw_names = {(a["surname"], a["initials"]) for r in doc["citing_records"] for a in r["authors"]}
+    raw_names |= {(a["surname"], a.get("initials", "")) for a in doc["target"]["name_variants"]}
+    assert instances(fast) == instances(slow) <= len(raw_names) + 1
+
+
+def test_golden_fixture_datasets_parse_to_their_own_bytes(tmp_path, monkeypatch):
+    from test_cli_golden import write_fixtures
+
+    write_fixtures(tmp_path)
+    for path in (tmp_path / "author.json", tmp_path / "nostart.json"):
+        text = path.read_text()
+        assert emit_dataset(parse_dataset(text)) == text
+        assert parse_dataset(text) == _walker_only(monkeypatch, text)
+
+
+# SCHEMA edits to the two kinds the record reader checks, and documents that
+# tell a reader built from the edited table apart from one built from the old.
+_STR_FIELD = (iv_io._STR, False, None)
+SCHEMA_EDITS = [
+    ("citing record", "venue", _STR_FIELD, [{(2, "venue"): "x"}, {}]),
+    ("citing record", "doc_type", (iv_io._STR, True, None), [{(2, "doc_type"): _DELETE}, {}]),
+    ("citing record", "authors", (iv_io._LIST, True, "author"), [{(2, "authors"): _DELETE}]),
+    ("citing record", "year", ((int, type(None)), True, None), [{(2, "year"): None}, {}]),
+    ("citing record", "cited_target_pub_ids", (iv_io._LIST, True, "author"),
+     [{(2, "cited_target_pub_ids"): [{"surname": "p1"}]}, {}]),
+    ("author", "orcid", _STR_FIELD, [{(2, "authors", 1, "orcid"): "x"}, {}]),
+    ("author", "initials", (iv_io._STR, True, None), [{(2, "authors", 1): {"surname": "a"}}, {}]),
+]
+
+
+@pytest.mark.parametrize("kind, name, spec, probes", SCHEMA_EDITS)
+def test_record_reader_follows_schema(monkeypatch, kind, name, spec, probes):
+    """A reader built from an edited SCHEMA parses every document as the
+    walker does under that SCHEMA, so no field list is kept apart from it."""
+    schema = {k: dict(fields) for k, fields in SCHEMA.items()}
+    schema[kind][name] = spec
+    monkeypatch.setattr(iv_io, "SCHEMA", schema)
+    monkeypatch.setattr(iv_io, "_read_record", iv_io._record_reader(schema))
+    for changes in probes:
+        document = _three_records(changes)
+        assert _outcome(document) == _walker_only(monkeypatch, document), changes
+
+
+def test_a_new_record_field_is_rejected_by_name(monkeypatch):
+    schema = dict(SCHEMA, **{"citing record": dict(SCHEMA["citing record"], venue=_STR_FIELD)})
+    monkeypatch.setattr(iv_io, "SCHEMA", schema)
+    with pytest.raises(TypeError, match="'venue'"):  # the model has no such field
+        parse_dataset(_three_records({(2, "venue"): "x"}))
+
+
+def test_author_fields_are_in_the_models_order():
+    """The reader looks authors up by their fields in SCHEMA order, and
+    `_parse` stores them as (surname, initials)."""
+    assert list(SCHEMA["author"]) == [f.name for f in dataclasses.fields(AuthorKey)]
+    assert list(SCHEMA["author"]) == ["surname", "initials"]
 
 
 class TestParseCounts:

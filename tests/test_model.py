@@ -1,3 +1,15 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+import unicodedata
+from dataclasses import replace
+from pathlib import Path
+
+from hypothesis import given
+from hypothesis import strategies as st
+
 from impact_vitality import (
     AuthorKey,
     FilterSet,
@@ -9,6 +21,7 @@ from impact_vitality import (
     validate_dataset,
     yearly_citing_counts,
 )
+from impact_vitality.model import _strip_diacritics
 
 from conftest import make_dataset, make_target
 
@@ -28,6 +41,12 @@ class TestAuthorKey:
         again = AuthorKey(key.surname, key.initials)
         assert again == key
 
+    @given(st.text(st.characters(max_codepoint=127)))
+    def test_ascii_names_fold_as_unicode_does(self, name):
+        folded = unicodedata.normalize("NFKD", name)
+        folded = "".join(ch for ch in folded if not unicodedata.combining(ch))
+        assert _strip_diacritics(name) == folded
+
     def test_empty_surname_rejected(self):
         with pytest.raises(ValueError):
             AuthorKey("   ")
@@ -35,6 +54,36 @@ class TestAuthorKey:
     def test_equal_keys_hash_equal(self):
         assert AuthorKey("Smith", "J.A.") == AuthorKey("smith", "ja")
         assert hash(AuthorKey("Smith", "J.A.")) == hash(AuthorKey("smith", "ja"))
+
+    def test_copies_are_equal_keys_with_the_same_fields(self):
+        key = AuthorKey("Núñez", "M.")
+        for other in (copy.copy(key), copy.deepcopy(key), pickle.loads(pickle.dumps(key)),
+                      replace(key), replace(replace(key, initials="x"), initials="m")):
+            assert other == key and hash(other) == hash(key)
+            assert repr(other) == "AuthorKey(surname='nunez', initials='m')"
+        assert replace(key, initials="J. K.") == AuthorKey("nunez", "jk")
+        assert sorted([AuthorKey("b"), key, AuthorKey("a", "z")]) == [
+            AuthorKey("a", "z"), AuthorKey("b"), key]
+
+    def test_pickled_key_is_found_under_another_hash_seed(self):
+        """A key's hash is stored, but a pickle carries only its fields: a
+        set pickled in one process still finds the key in a process whose
+        str hashes differ."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        dump = ("import pickle, sys; from impact_vitality import AuthorKey; "
+                "sys.stdout.write(pickle.dumps({AuthorKey('smith', 'j')}).hex())")
+        load = ("import pickle, sys; from impact_vitality import AuthorKey; "
+                "s = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+                "print(AuthorKey('smith', 'j') in s, hash('smith') == %d)")
+
+        def run(seed, code, stdin=""):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            return subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+                                  capture_output=True, text=True, check=True).stdout
+
+        pickled = run(1, dump)
+        seed1_hash = int(run(1, "print(hash('smith'))"))
+        assert run(2, load % seed1_hash, pickled).split() == ["True", "False"]
 
 
 class TestTargetAuthor:
