@@ -27,8 +27,8 @@ class CandidateProfile:
     career_start_year: Optional[int] = None
 
     def __post_init__(self):
-        late = [p for p in self.profile.points if p.observation_year > self.call_year]
-        if late:
+        points = self.profile.points  # ascending years, so the last is the latest
+        if points and points[-1].observation_year > self.call_year:
             raise ValueError(
                 f"candidate {self.candidate_id!r} has IV points after call year "
                 f"{self.call_year}"
@@ -98,8 +98,9 @@ def _range_stat(values: list[float]) -> Optional[RangeStat]:
 
 
 def _mean_citing(counts: YearlyCitingCounts, first_year: int, last_year: int) -> float:
-    span = range(first_year, last_year + 1)
-    return fmean(counts.get(y) for y in span)
+    get = counts.counts.get
+    # a list, so fmean takes its len instead of counting; the mean is the same
+    return fmean([get(y, 0) for y in range(first_year, last_year + 1)])
 
 
 def _group_stats(group: list[CandidateProfile]) -> CohortStats:

@@ -57,7 +57,9 @@ def impact_vitality(counts: Sequence[int]) -> float:
     if total <= 0:
         raise ValueError("window total must be positive")
     weighted = 0.0
-    for age, count in enumerate(counts, start=1):
+    age = 0
+    for count in counts:
+        age += 1
         weighted += count / age
     return (n * (weighted / total) - 1.0) / (harmonic(n) - 1.0)
 
@@ -146,24 +148,29 @@ def iv_profile(
     else:
         oldest = spec.start_year
         first_year = max(first_year, oldest + spec.min_length - 1)  # shorter windows skipped
-    newest = [counts.get(y) for y in range(last_year, oldest - 1, -1)]
+    get = counts.counts.get
+    newest = [get(y, 0) for y in range(last_year, oldest - 1, -1)]
+
+    # One pass gives every window's total and zero flag: after[i] is the sum
+    # of newest[i:], and next_zero[i] the first index >= i that holds a 0.
+    size = len(newest)
+    after = [0] * (size + 1)
+    next_zero = [size] * (size + 1)
+    for i in range(size - 1, -1, -1):
+        count = newest[i]
+        after[i] = after[i + 1] + count
+        next_zero[i] = i if count == 0 else next_zero[i + 1]
 
     points: list[IVPoint] = []
     for y_t in range(first_year, last_year + 1):
         n = spec.n if moving else y_t - oldest + 1
         k = last_year - y_t
-        window = newest[k:k + n]
-        total = sum(window)
+        total = after[k] - after[k + n]
         if total == 0:
             continue
+        # by position, in field order: keyword arguments cost more per point
         points.append(
-            IVPoint(
-                observation_year=y_t,
-                window_length=n,
-                value=impact_vitality(window),
-                total_citing=total,
-                zero_year_flag=0 in window,
-            )
+            IVPoint(y_t, n, impact_vitality(newest[k:k + n]), total, next_zero[k] < k + n)
         )
     return IVProfile(points=tuple(points), window_spec=spec)
 

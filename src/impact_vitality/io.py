@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import re
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
 
@@ -333,8 +334,38 @@ def _csv_rows(document: str, what: str, header: tuple[str, ...]) -> Iterator[tup
         raise FormatError(f"{what} line {reader.line_num}: {exc}") from None
 
 
+# The text `emit_counts` writes: the header, then "year,count" rows of ASCII
+# digits without leading zeros, each ending in "\n". A cell of at most 16
+# digits stays under int()'s digit limit and holds every count up to MAX_COUNT.
+_CELL = "(?:0|[1-9][0-9]{0,15})"
+_PLAIN_COUNTS = re.compile(re.escape(",".join(COUNTS_HEADER)) + f"\n((?:{_CELL},{_CELL}\n)*)")
+
+
+def _plain_counts(document: str) -> Optional[dict[int, int]]:
+    """The counts of a document in the plain form `emit_counts` writes, when
+    its years are distinct and in range and its counts at most MAX_COUNT;
+    else None, and the csv walk in `parse_counts` reads the document or
+    names its fault."""
+    match = _PLAIN_COUNTS.fullmatch(document)
+    if match is None:
+        return None
+    body = match[1]
+    cells = map(int, body.replace("\n", ",").split(",")[:-1])
+    counts = dict(zip(cells, cells))  # year, count, year, count, ...
+    if len(counts) != body.count("\n"):  # a year repeats
+        return None
+    if counts and (max(counts.values()) > MAX_COUNT
+                   or year_error("year", min(counts)) or year_error("year", max(counts))):
+        return None
+    return counts
+
+
 def parse_counts(document: str) -> YearlyCitingCounts:
-    """Parse a "year,count" CSV into yearly citing counts."""
+    """Parse a "year,count" CSV into yearly citing counts. A document that is
+    not in the plain form goes through the csv walk, which names its line."""
+    plain = _plain_counts(document)
+    if plain is not None:
+        return YearlyCitingCounts(plain)
     counts: dict[int, int] = {}
     for lineno, row in _csv_rows(document, "counts file", COUNTS_HEADER):
         try:

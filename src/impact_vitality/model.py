@@ -9,6 +9,7 @@ lives in `indicators`.
 from __future__ import annotations
 
 import datetime
+import math
 import unicodedata
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -204,10 +205,17 @@ def validate_dataset(ds: CitationDataset) -> list[Finding]:
         if rec.id in seen_rec_ids:
             err(f"duplicate citing record id {rec.id!r}")
         seen_rec_ids.add(rec.id)
-        check_year(f"citing record {rec.id!r} year", rec.year)
-        if not rec.cited_target_pub_ids:
+        if not YEAR_MIN <= rec.year <= YEAR_MAX:  # the message is built only when needed
+            check_year(f"citing record {rec.id!r} year", rec.year)
+        cited = rec.cited_target_pub_ids
+        if not cited:
             err(f"citing record {rec.id!r} cites no target publication")
-        for pub_id in sorted(rec.cited_target_pub_ids):
+        for pub_id in cited:
+            if pub_years.get(pub_id, math.inf) > rec.year:  # unknown, or published later
+                break
+        else:
+            continue  # no finding, so the ids need no order
+        for pub_id in sorted(cited):
             if pub_id not in pub_years:
                 err(f"citing record {rec.id!r} references unknown publication {pub_id!r}")
             elif rec.year < pub_years[pub_id]:

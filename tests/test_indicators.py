@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from impact_vitality import indicators
 from impact_vitality import (
     FixedStart,
     IVPoint,
@@ -125,6 +126,26 @@ class TestIVProfile:
             window = [counts.get(y) for y in range(pt.observation_year, pt.observation_year - 6, -1)]
             assert pt.value == impact_vitality(window)
             assert pt.total_citing == sum(window)
+
+    @pytest.mark.parametrize("spec", [MovingWindow(5), FixedStart(1988, 4), FixedStart(1988, 2)])
+    def test_one_kernel_call_per_point(self, monkeypatch, spec):
+        """The benchmark counts `indicators.impact_vitality` calls against
+        points; each point's value comes from one call on its window."""
+        calls = []
+
+        def counting(window):
+            calls.append(list(window))
+            return impact_vitality(window)
+
+        monkeypatch.setattr(indicators, "impact_vitality", counting)
+        counts = YearlyCitingCounts({**TABLE5_COUNTS["all"], 1995: 0, 1996: 0})
+        profile = iv_profile(counts, spec, 1990, 2007)
+        assert len(calls) == len(profile) > 0
+        assert {pt.zero_year_flag for pt in profile.points} == {True, False}
+        for pt, window in zip(profile.points, calls):
+            assert len(window) == pt.window_length
+            assert sum(window) == pt.total_citing
+            assert (0 in window) == pt.zero_year_flag
 
     def test_empty_range_rejected(self):
         counts = YearlyCitingCounts({2000: 1})

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,8 +28,8 @@ from impact_vitality import (
     parse_manifest,
 )
 from impact_vitality import io as iv_io
-from impact_vitality.io import SCHEMA
-from impact_vitality.model import normalize_surname
+from impact_vitality.io import MAX_COUNT, SCHEMA
+from impact_vitality.model import YEAR_MAX, YEAR_MIN, normalize_surname
 
 from conftest import TABLE5_COUNTS, make_dataset, make_target
 
@@ -577,6 +578,63 @@ class TestParseCounts:
     def test_round_trip(self):
         counts = YearlyCitingCounts(TABLE5_COUNTS["all"])
         assert parse_counts(emit_counts(counts)).counts == counts.counts
+
+
+_GOOD_COUNTS = "year,count\n2000,1\n2001,0\n"
+# Documents off the plain form `emit_counts` writes, with their defect after
+# good rows, and what `parse_counts` gives for each: the counts, or the text
+# of its FormatError.
+COUNTS_DEFECTS = [
+    (_GOOD_COUNTS + "2002,+5\n", {2000: 1, 2001: 0, 2002: 5}),
+    (_GOOD_COUNTS + "+2002,5\n", {2000: 1, 2001: 0, 2002: 5}),
+    (_GOOD_COUNTS + "2002,-5\n", "counts file line 4: negative count -5"),
+    (_GOOD_COUNTS + "2002, 5\n", {2000: 1, 2001: 0, 2002: 5}),
+    (_GOOD_COUNTS + "2002\t,5\n", {2000: 1, 2001: 0, 2002: 5}),
+    (" year , count\n2000,1\n", {2000: 1}),
+    (_GOOD_COUNTS + "20_02,5\n", "counts file line 4: non-integer value"),
+    (_GOOD_COUNTS + "２００２,5\n", "counts file line 4: non-integer value"),
+    (_GOOD_COUNTS + "2002,\u0665\n", "counts file line 4: non-integer value"),
+    (_GOOD_COUNTS + "2002," + "9" * 5000 + "\n", "counts file line 4: non-integer value"),
+    ("year,count\r\n2000,1\r\n2001,0\r\n", {2000: 1, 2001: 0}),
+    (_GOOD_COUNTS + "2002,5\r\n", {2000: 1, 2001: 0, 2002: 5}),
+    (_GOOD_COUNTS + '"2002","5"\n', {2000: 1, 2001: 0, 2002: 5}),
+    (_GOOD_COUNTS + "\n2002,5\n", {2000: 1, 2001: 0, 2002: 5}),
+    (_GOOD_COUNTS + "2002,5", {2000: 1, 2001: 0, 2002: 5}),
+    (_GOOD_COUNTS + "2002,5,1\n", "counts file line 4: expected 2 columns, got 3"),
+    (_GOOD_COUNTS + "2001,5\n", "counts file line 4: duplicate year 2001"),
+    (_GOOD_COUNTS + "1799,5\n", f"counts file: year 1799 outside [1800, {YEAR_MAX}]"),
+    (_GOOD_COUNTS + f"{YEAR_MAX + 1},5\n",
+     f"counts file: year {YEAR_MAX + 1} outside [1800, {YEAR_MAX}]"),
+    (_GOOD_COUNTS + "0,5\n", f"counts file: year 0 outside [1800, {YEAR_MAX}]"),
+    (_GOOD_COUNTS + f"2002,{2**53}\n", "counts file line 4: count above 9007199254740991"),
+    (_GOOD_COUNTS + f"2002,{10**16}\n", "counts file line 4: count above 9007199254740991"),
+    (_GOOD_COUNTS + "02002,5\n", {2000: 1, 2001: 0, 2002: 5}),
+    (_GOOD_COUNTS + "2002,05\n", {2000: 1, 2001: 0, 2002: 5}),
+]
+
+
+def _counts_outcome(document):
+    try:
+        return parse_counts(document).counts
+    except FormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("document, expected", COUNTS_DEFECTS)
+def test_counts_defects_are_left_to_the_csv_walk(document, expected):
+    assert iv_io._plain_counts(document) is None
+    assert _counts_outcome(document) == expected
+
+
+@given(st.dictionaries(st.integers(YEAR_MIN, YEAR_MAX), st.integers(0, MAX_COUNT), max_size=80))
+@example({})
+@example({YEAR_MIN: 0, YEAR_MAX: MAX_COUNT})
+def test_plain_counts_parse_as_the_csv_walk_parses(counts):
+    document = emit_counts(YearlyCitingCounts(counts))
+    assert iv_io._plain_counts(document) == counts
+    assert parse_counts(document).counts == counts
+    with mock.patch.object(iv_io, "_plain_counts", return_value=None):
+        assert parse_counts(document).counts == counts
 
 
 class TestReportEmission:

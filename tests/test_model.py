@@ -123,6 +123,24 @@ class TestValidateDataset:
         findings = validate_dataset(ds)
         assert [f.severity for f in findings] == [Severity.WARNING]
 
+    def test_cited_id_findings_come_in_id_order(self):
+        ds = make_dataset(
+            [("p1", 1990), ("p3", 2010), ("p5", 2012)],
+            [
+                ("c0", 2011, {"p3", "p1"}),
+                ("c1", 2005, {"p5", "ghost2", "p1", "p3", "ghost1", "a0"}),
+                ("c2", 2011, {"p5", "p1"}),
+            ],
+        )
+        assert [(f.severity, f.message) for f in validate_dataset(ds)] == [
+            (Severity.ERROR, "citing record 'c1' references unknown publication 'a0'"),
+            (Severity.ERROR, "citing record 'c1' references unknown publication 'ghost1'"),
+            (Severity.ERROR, "citing record 'c1' references unknown publication 'ghost2'"),
+            (Severity.WARNING, "citing record 'c1' dated 2005 cites 'p3' published 2010"),
+            (Severity.WARNING, "citing record 'c1' dated 2005 cites 'p5' published 2012"),
+            (Severity.WARNING, "citing record 'c2' dated 2011 cites 'p5' published 2012"),
+        ]
+
     def test_career_start_after_first_citation_is_warning(self):
         target = make_target(career_start_year=2010)
         ds = make_dataset([("p1", 2000)], [("c1", 2003, {"p1"})], target=target)
