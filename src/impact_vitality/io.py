@@ -13,7 +13,7 @@ import io as _io
 import json
 import re
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from .indicators import IVProfile
 from .model import (
@@ -79,134 +79,98 @@ _MODELS = {"dataset": CitationDataset, "target": TargetAuthor,
            "publication": Publication, "citing record": CitingRecord}
 
 
-def _fields(obj: Any, kind: str, context: str) -> dict:
-    """`obj` itself, once it is an object whose fields all belong to `kind`,
-    have their JSON types and include every required one."""
+def _kinds(schema: dict) -> dict:
+    """Per kind of `schema`, what `_parse` checks: the JSON types by field
+    name, the required fields, and the nested fields as (name, whether a
+    list, nested kind), both in `schema` order."""
+    return {
+        kind: ({name: types for name, (types, _, _) in fields.items()},
+               tuple(name for name, (_, required, _) in fields.items() if required),
+               tuple((name, types is _LIST, nested)
+                     for name, (types, _, nested) in fields.items() if nested is not None))
+        for kind, fields in schema.items()
+    }
+
+
+_KINDS = _kinds(SCHEMA)
+_AUTHOR_PAIR = itemgetter("surname", "initials")  # the memo's key, as `_parse` stores it
+
+
+def _where(where: Optional[tuple]) -> str:
+    """The text of a `(parent, field, index)` context chain: "dataset" for
+    the document, else e.g. "target.key" or "citing_records[2].authors[1]"."""
+    if where is None:
+        return "dataset"
+    parent, name, index = where
+    text = name if parent is None else f"{_where(parent)}.{name}"
+    return text if index is None else f"{text}[{index}]"
+
+
+def _parse(obj: Any, kind: str, where: Optional[tuple],
+           keys: dict[tuple[str, str], AuthorKey]) -> Any:
+    """The model value of the JSON object `obj` of `kind`, built in place
+    from `obj` once its nested objects are parsed in turn. The first fault
+    is named in this order: not an object; a field unknown or not of its
+    JSON type (in `obj`'s order); a required field missing; then the nested
+    fields in SCHEMA order. `where` is the context chain `_where` formats.
+
+    An "author" gives its `AuthorKey`: `keys` maps each raw (surname,
+    initials) pair seen so far in the document to its key, so each distinct
+    name is normalized once; a pair that fails normalization is not stored.
+    An item of an author list is looked up there by its raw pair first, and
+    only a miss is checked in full."""
     if type(obj) is not dict:
-        raise FormatError(f"{context}: expected an object, got {type(obj).__name__}")
-    schema = SCHEMA[kind]
+        raise FormatError(f"{_where(where)}: expected an object, got {type(obj).__name__}")
+    if kind == "dataset":  # the version fixes the layout, so it is checked first
+        version = obj.get("schema_version")
+        if type(version) is int and version != SCHEMA_VERSION:
+            raise FormatError(f"dataset: unsupported schema_version {version}")
+    types, required, nests = _KINDS[kind]
     for name, value in obj.items():
-        spec = schema.get(name)
-        if spec is None:
-            raise FormatError(f"{context}: unknown field {name!r}")
-        if type(value) not in spec[0]:
-            got = type(value).__name__
-            raise FormatError(f"{context}: {name!r} must be {spec[0][0].__name__}, got {got}")
-    for name, (_, required, _) in schema.items():
-        if required and name not in obj:
-            raise FormatError(f"{context}: missing required field {name!r}")
-    return obj
-
-
-def _parse(obj: Any, kind: str, context: str, keys: dict[tuple[str, str], AuthorKey]) -> Any:
-    """The model value of the JSON object `obj` of `kind`, its nested objects
-    parsed in turn. An "author" gives its `AuthorKey`: `keys` maps each raw
-    (surname, initials) pair seen so far in the document to its key, so each
-    distinct name is normalized once; a pair that fails normalization is not
-    stored."""
-    fields = _fields(obj, kind, context)
+        if type(value) not in types.get(name, ()):
+            if name not in types:
+                raise FormatError(f"{_where(where)}: unknown field {name!r}")
+            want, got = types[name][0].__name__, type(value).__name__
+            raise FormatError(f"{_where(where)}: {name!r} must be {want}, got {got}")
+    for name in required:
+        if name not in obj:
+            raise FormatError(f"{_where(where)}: missing required field {name!r}")
     if kind == "author":
-        pair = (fields["surname"], fields.get("initials", ""))
+        pair = (obj["surname"], obj.get("initials", ""))
         key = keys.get(pair)
         if key is None:
             try:
                 key = keys[pair] = AuthorKey(*pair)
             except ValueError as exc:
-                raise FormatError(f"{context}: {exc}") from exc
+                raise FormatError(f"{_where(where)}: {exc}") from exc
         return key
-    if kind == "dataset":  # the version fixes the layout, so it is checked first
-        version = fields.pop("schema_version")
-        if version != SCHEMA_VERSION:
-            raise FormatError(f"dataset: unsupported schema_version {version!r}")
-    prefix = "" if kind == "dataset" else f"{context}."
-    for name, (types, _, nested) in SCHEMA[kind].items():
-        if nested is None or name not in fields:
+    if kind == "dataset":
+        del obj["schema_version"]
+    # In place, in loops: on Python 3.11 a comprehension makes its names
+    # closure cells in every call, the many record calls too.
+    for name, is_list, nested in nests:
+        value = obj.get(name)
+        if value is None:
             continue
-        value = fields[name]
         if nested is str:
-            if not all(type(item) is str for item in value):
-                raise FormatError(f"{context}: {name!r} must hold only str")
-        elif nested == "citing record":
-            # A record of the common shape is read inline; any other goes
-            # through the walker, which names what is wrong with it.
-            for i, item in enumerate(value):
-                record = _read_record(item, keys)
-                if record is None:
-                    record = _parse(item, nested, f"{prefix}{name}[{i}]", keys)
-                value[i] = record
-        elif types is _LIST:
-            # In place, in a loop: on Python 3.11 a comprehension makes its
-            # names closure cells in every call, the many author calls too.
-            for i, item in enumerate(value):
-                value[i] = _parse(item, nested, f"{prefix}{name}[{i}]", keys)
-        else:
-            fields[name] = _parse(value, nested, f"{prefix}{name}", keys)
-    return _MODELS[kind](**fields)
-
-
-def _record_reader(schema: dict) -> Callable[[Any, dict], Optional[CitingRecord]]:
-    """A reader of the "citing record" objects of the common shape under
-    `schema`, where `_parse` would spend most of a parse: a dict of the
-    kind's fields with every required one, each of exactly its JSON type,
-    its str lists holding only str and its author lists only objects that
-    parse as "author". The reader gives such an object's `CitingRecord`, and
-    None for any other object, which then goes to `_parse` to be named. It
-    changes no raw object.
-
-    An author object that has every "author" field and no other is looked
-    up in the parse's memo `keys` by its raw pair, as `_parse` stores it
-    (the fields in SCHEMA order, which is the model's); any other author
-    object goes to `_parse` itself."""
-    fields = schema["citing record"]
-    str_lists = tuple(name for name, (types, _, nested) in fields.items()
-                      if types is _LIST and nested is str)
-    author_lists = tuple(name for name, (types, _, nested) in fields.items()
-                         if types is _LIST and nested == "author")
-    # Scalars and the lists above; a record holding any other field goes to `_parse`.
-    types = {name: spec[0] for name, spec in fields.items()
-             if spec[2] is None or name in str_lists + author_lists}
-    required = frozenset(name for name, (_, is_required, _) in fields.items() if is_required)
-    author_width, author_pair = len(schema["author"]), itemgetter(*schema["author"])
-
-    def read(obj: Any, keys: dict) -> Optional[CitingRecord]:
-        if type(obj) is not dict or not obj.keys() >= required:
-            return None
-        for name, value in obj.items():
-            if type(value) not in types.get(name, ()):
-                return None
-        record = dict(obj)
-        for name in str_lists:
-            value = record.get(name)
-            if value is not None:
-                for item in value:
-                    if type(item) is not str:
-                        return None
-                record[name] = frozenset(value)
-        for name in author_lists:
-            value = record.get(name)
-            if value is None:
-                continue
-            authors = []
             for item in value:
+                if type(item) is not str:
+                    raise FormatError(f"{_where(where)}: {name!r} must hold only str")
+        elif not is_list:
+            obj[name] = _parse(value, nested, (where, name, None), keys)
+        elif nested == "author":
+            for i, item in enumerate(value):
                 key = None
-                if type(item) is dict and len(item) == author_width:
+                if type(item) is dict and len(item) == 2:
                     try:
-                        key = keys.get(author_pair(item))
+                        key = keys.get(_AUTHOR_PAIR(item))
                     except (KeyError, TypeError):  # a field missing; a list or object value
                         pass
-                if key is None:
-                    try:
-                        key = _parse(item, "author", name, keys)
-                    except FormatError:
-                        return None
-                authors.append(key)
-            record[name] = frozenset(authors)
-        return CitingRecord(**record)
-
-    return read
-
-
-_read_record = _record_reader(SCHEMA)
+                value[i] = key or _parse(item, nested, (where, name, i), keys)
+        else:
+            for i, item in enumerate(value):
+                value[i] = _parse(item, nested, (where, name, i), keys)
+    return _MODELS[kind](**obj)
 
 
 def parse_dataset(document: str) -> CitationDataset:
@@ -222,7 +186,7 @@ def parse_dataset(document: str) -> CitationDataset:
         raise FormatError(f"malformed JSON: {exc}") from exc
     except RecursionError:
         raise FormatError("malformed JSON: nested too deeply") from None
-    return _parse(raw, "dataset", "dataset", {})
+    return _parse(raw, "dataset", None, {})
 
 
 _quote = json.encoder.encode_basestring_ascii  # what json.dumps uses with ensure_ascii

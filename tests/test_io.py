@@ -51,15 +51,21 @@ MINIMAL_DOC = json.dumps(
 )
 
 
+_DELETE = object()
+
+
 def _changed(document, changes):
     """`document` with the value at each path (a tuple of keys and indexes)
-    in `changes` replaced."""
+    in `changes` replaced, or removed where it is `_DELETE`."""
     doc = json.loads(document)
     for path, value in changes.items():
         parent = doc
         for step in path[:-1]:
             parent = parent[step]
-        parent[path[-1]] = value
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
     return json.dumps(doc)
 
 
@@ -147,6 +153,13 @@ class TestParseDataset:
              "dataset: unsupported schema_version 2"),
             ({("schema_version",): 2, ("publications",): [5]},
              "dataset: unsupported schema_version 2"),
+            # the version fixes the layout, so it comes before the dataset's own fields
+            ({("schema_version",): 2, ("target",): _DELETE, ("publications",): _DELETE,
+              ("citing_records",): _DELETE},
+             "dataset: unsupported schema_version 2"),
+            ({("schema_version",): 2, ("target",): _DELETE, ("publications",): _DELETE,
+              ("citing_records",): _DELETE, ("author",): {"surname": "Doe"}, ("works",): []},
+             "dataset: unsupported schema_version 2"),
         ],
     )
     def test_nested_errors_name_their_path(self, changes, message):
@@ -229,7 +242,7 @@ MODELS = {"dataset": CitationDataset, "target": TargetAuthor, "author": AuthorKe
 
 
 def test_schema_names_the_model_fields():
-    # Both walkers read a model's fields by the names SCHEMA gives them.
+    # Parsing and emitting read a model's fields by the names SCHEMA gives them.
     assert set(SCHEMA) == set(MODELS)
     for kind, model in MODELS.items():
         names = {f.name for f in dataclasses.fields(model)}
@@ -366,7 +379,6 @@ def test_emit_of_2000_records_matches_reference_bytes():
 
 _GOOD_AUTHORS = [{"surname": "Jones", "initials": "K."}, {"surname": "Müller"},
                  {"surname": "lee", "initials": "j"}]
-_DELETE = object()
 
 
 def _three_records(changes=None):
@@ -379,19 +391,12 @@ def _three_records(changes=None):
          "cited_target_pub_ids": ["p1"], "doc_type": "article"}
         for i in range(3)
     ]
-    for path, value in (changes or {}).items():
-        parent = doc["citing_records"]
-        for step in path[:-1]:
-            parent = parent[step]
-        if value is _DELETE:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
-    return json.dumps(doc)
+    return _changed(json.dumps(doc), {("citing_records", *path): value
+                                      for path, value in (changes or {}).items()})
 
 
 # One defect in record 2 (or in its author 1 or 2), after good records and
-# good authors, and the exact message the SCHEMA walker gives for it.
+# good authors, and the exact message `parse_dataset` gives for it.
 RECORD_DEFECTS = [
     ({(2, "venue"): "x"}, "citing_records[2]: unknown field 'venue'"),
     ({(2, "id"): _DELETE}, "citing_records[2]: missing required field 'id'"),
@@ -419,7 +424,7 @@ RECORD_DEFECTS = [
      "citing_records[2].authors[2]: missing required field 'surname'"),
     ({(2, "authors", 2, "surname"): " \u0301 "},
      "citing_records[2].authors[2]: AuthorKey surname must be non-empty"),
-    # with two defects, the walker's order decides which is named
+    # with two defects, the order of the checks decides which is named
     ({(2, "authors", 1): 5, (2, "venue"): "x"}, "citing_records[2]: unknown field 'venue'"),
     ({(2, "authors", 1): 5, (2, "cited_target_pub_ids"): [7]},
      "citing_records[2].authors[1]: expected an object, got int"),
@@ -435,6 +440,82 @@ def test_record_defects_keep_the_walkers_message(changes, message):
     assert str(info.value) == message
 
 
+# One defect of each kind in the dataset, target, author and publication
+# objects outside the records, changed in MINIMAL_DOC, and the exact message
+# `parse_dataset` gives for it.
+_LEE = {"surname": "lee"}
+DOCUMENT_DEFECTS = [
+    ({("venue",): "x"}, "dataset: unknown field 'venue'"),
+    ({("schema_version",): _DELETE}, "dataset: missing required field 'schema_version'"),
+    ({("target",): _DELETE}, "dataset: missing required field 'target'"),
+    ({("citing_records",): _DELETE}, "dataset: missing required field 'citing_records'"),
+    ({("schema_version",): True}, "dataset: 'schema_version' must be int, got bool"),
+    ({("schema_version",): "1"}, "dataset: 'schema_version' must be int, got str"),
+    ({("schema_version",): 1.0}, "dataset: 'schema_version' must be int, got float"),
+    ({("target",): []}, "dataset: 'target' must be dict, got list"),
+    ({("publications",): {}}, "dataset: 'publications' must be list, got dict"),
+    ({("target", "orcid"): "x"}, "target: unknown field 'orcid'"),
+    ({("target", "key"): _DELETE}, "target: missing required field 'key'"),
+    ({("target", "career_start_year"): True}, "target: 'career_start_year' must be int, got bool"),
+    ({("target", "first_citation_year"): []},
+     "target: 'first_citation_year' must be int, got list"),
+    ({("target", "key"): []}, "target: 'key' must be dict, got list"),
+    ({("target", "name_variants"): {}}, "target: 'name_variants' must be list, got dict"),
+    ({("target", "key", "orcid"): "x"}, "target.key: unknown field 'orcid'"),
+    ({("target", "key", "surname"): _DELETE}, "target.key: missing required field 'surname'"),
+    ({("target", "key", "initials"): False}, "target.key: 'initials' must be str, got bool"),
+    ({("target", "key", "surname"): {}}, "target.key: 'surname' must be str, got dict"),
+    ({("target", "key", "surname"): " \u0301 "}, "target.key: AuthorKey surname must be non-empty"),
+    ({("target", "name_variants"): [_LEE, {"surname": "lee", "orcid": "x"}]},
+     "target.name_variants[1]: unknown field 'orcid'"),
+    ({("target", "name_variants"): [_LEE, {"initials": "j"}]},
+     "target.name_variants[1]: missing required field 'surname'"),
+    ({("target", "name_variants"): [_LEE, {"surname": True}]},
+     "target.name_variants[1]: 'surname' must be str, got bool"),
+    ({("target", "name_variants"): [_LEE, {"surname": "Müller", "initials": ["j"]}]},
+     "target.name_variants[1]: 'initials' must be str, got list"),
+    ({("target", "name_variants"): [_LEE, []]},
+     "target.name_variants[1]: expected an object, got list"),
+    ({("target", "name_variants"): [_LEE, {"surname": "\u0301"}]},
+     "target.name_variants[1]: AuthorKey surname must be non-empty"),
+    ({("publications", 0, "impact_factor"): 9.7},
+     "publications[0]: unknown field 'impact_factor'"),
+    ({("publications", 0, "id"): _DELETE}, "publications[0]: missing required field 'id'"),
+    ({("publications", 0, "year"): _DELETE}, "publications[0]: missing required field 'year'"),
+    ({("publications", 0, "year"): True}, "publications[0]: 'year' must be int, got bool"),
+    ({("publications", 0, "label"): []}, "publications[0]: 'label' must be str, got list"),
+    ({("publications", 0, "doc_type"): None},
+     "publications[0]: 'doc_type' must be str, got NoneType"),
+    ({("publications", 0): []}, "publications[0]: expected an object, got list"),
+    # with two defects, the order of the checks decides which is named
+    ({("publications", 0, "year"): True, ("publications", 0, "id"): _DELETE},
+     "publications[0]: 'year' must be int, got bool"),
+    ({("publications", 0, "id"): _DELETE, ("publications", 0, "impact_factor"): 1},
+     "publications[0]: unknown field 'impact_factor'"),
+    ({("publications",): _DELETE, ("target",): _DELETE},
+     "dataset: missing required field 'target'"),
+    ({("target", "key"): 5, ("target", "orcid"): "x"}, "target: 'key' must be dict, got int"),
+    ({("target", "name_variants"): [5], ("publications", 0): 5},
+     "target.name_variants[0]: expected an object, got int"),
+    ({("target", "key", "surname"): "", ("target", "name_variants"): [5]},
+     "target.key: AuthorKey surname must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("changes, message", DOCUMENT_DEFECTS)
+def test_document_defects_keep_their_message(changes, message):
+    with pytest.raises(FormatError) as info:
+        parse_dataset(_changed(MINIMAL_DOC, changes))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("document, kind", [("[]", "list"), ("5", "int"), ("null", "NoneType")])
+def test_a_document_that_is_no_object_is_named(document, kind):
+    with pytest.raises(FormatError) as info:
+        parse_dataset(document)
+    assert str(info.value) == f"dataset: expected an object, got {kind}"
+
+
 def _outcome(document):
     """The dataset `document` parses to, or the type and text of its error."""
     try:
@@ -443,95 +524,103 @@ def _outcome(document):
         return type(exc), str(exc)
 
 
-def _walker_only(monkeypatch, document):
-    """`_outcome(document)` with every citing record sent through `_parse`."""
-    with monkeypatch.context() as m:
-        m.setattr(iv_io, "_read_record", lambda obj, keys: None)
-        return _outcome(document)
-
-
-@pytest.mark.parametrize("changes, message", RECORD_DEFECTS)
-def test_record_defects_are_left_to_the_walker(changes, message):
-    record = json.loads(_three_records(changes))["citing_records"][2]
-    assert iv_io._read_record(record, {}) is None
-
-
-def _bench_inputs():
-    """The benchmark's input generator, bench/inputs.py."""
+def _bench(module):
+    """A module of the benchmark, bench/<module>.py. Neither the input
+    generator nor the oracles import the package."""
     bench = Path(__file__).resolve().parent.parent / "bench"
     sys.path.insert(0, str(bench))
     try:
-        return importlib.import_module("inputs")
+        return importlib.import_module(module)
     finally:
         sys.path.remove(str(bench))
 
 
-def test_author_large_shaped_input_parses_as_the_walker_parses(monkeypatch):
-    inputs = _bench_inputs()
+def test_author_large_shaped_input_parses_as_the_oracle_reads_it():
+    inputs, oracles = _bench("inputs"), _bench("oracles")
     doc, _ = inputs.author_dataset(5, 200, 3000)
-    text = inputs.dataset_text(doc)
-    fast, slow = _outcome(text), _walker_only(monkeypatch, text)
-    assert fast == slow
-    assert emit_dataset(fast) == emit_dataset(slow)
+    ds = parse_dataset(inputs.dataset_text(doc))
+    expected = oracles.canonical_document(doc)
+    assert oracles.check_roundtrip(expected, oracles.canonical_dataset(ds)) == []
 
     # one key instance per distinct raw name, the target's included
-    def instances(ds):
-        keys = [*ds.target.name_variants, *(k for r in ds.citing_records for k in r.authors)]
-        return len({id(k) for k in keys})
-
+    keys = [*ds.target.name_variants, *(k for r in ds.citing_records for k in r.authors)]
     raw_names = {(a["surname"], a["initials"]) for r in doc["citing_records"] for a in r["authors"]}
     raw_names |= {(a["surname"], a.get("initials", "")) for a in doc["target"]["name_variants"]}
-    assert instances(fast) == instances(slow) <= len(raw_names) + 1
+    assert len({id(k) for k in keys}) <= len(raw_names) + 1
 
 
-def test_golden_fixture_datasets_parse_to_their_own_bytes(tmp_path, monkeypatch):
+def test_golden_fixture_datasets_parse_to_their_own_bytes(tmp_path):
     from test_cli_golden import write_fixtures
 
     write_fixtures(tmp_path)
     for path in (tmp_path / "author.json", tmp_path / "nostart.json"):
         text = path.read_text()
         assert emit_dataset(parse_dataset(text)) == text
-        assert parse_dataset(text) == _walker_only(monkeypatch, text)
 
 
-# SCHEMA edits to the two kinds the record reader checks, and documents that
-# tell a reader built from the edited table apart from one built from the old.
+# SCHEMA edits to the citing record and author kinds, each with documents
+# (changes to `_three_records`) and the outcome that parsing them under
+# tables rebuilt from the edited SCHEMA must give: `_PARSES` for the dataset
+# of the unchanged document, or the type and text of the error.
 _STR_FIELD = (iv_io._STR, False, None)
+_PARSES = object()
 SCHEMA_EDITS = [
-    ("citing record", "venue", _STR_FIELD, [{(2, "venue"): "x"}, {}]),
-    ("citing record", "doc_type", (iv_io._STR, True, None), [{(2, "doc_type"): _DELETE}, {}]),
-    ("citing record", "authors", (iv_io._LIST, True, "author"), [{(2, "authors"): _DELETE}]),
-    ("citing record", "year", ((int, type(None)), True, None), [{(2, "year"): None}, {}]),
+    ("citing record", "venue", _STR_FIELD,
+     [({(2, "venue"): "x"},  # the parser takes it; the model has no such field
+       (TypeError, "CitingRecord.__init__() got an unexpected keyword argument 'venue'")),
+      ({}, _PARSES)]),
+    ("citing record", "doc_type", (iv_io._STR, True, None),
+     [({(2, "doc_type"): _DELETE},
+       (FormatError, "citing_records[2]: missing required field 'doc_type'")),
+      ({}, _PARSES)]),
+    ("citing record", "authors", (iv_io._LIST, True, "author"),
+     [({(2, "authors"): _DELETE},
+       (FormatError, "citing_records[2]: missing required field 'authors'"))]),
+    ("citing record", "year", ((int, type(None)), True, None),
+     [({(2, "year"): None},  # the parser takes it; the first citing year cannot be derived
+       (TypeError, "'<' not supported between instances of 'NoneType' and 'int'")),
+      ({}, _PARSES)]),
     ("citing record", "cited_target_pub_ids", (iv_io._LIST, True, "author"),
-     [{(2, "cited_target_pub_ids"): [{"surname": "p1"}]}, {}]),
-    ("author", "orcid", _STR_FIELD, [{(2, "authors", 1, "orcid"): "x"}, {}]),
-    ("author", "initials", (iv_io._STR, True, None), [{(2, "authors", 1): {"surname": "a"}}, {}]),
+     [({}, (FormatError, "citing_records[0].cited_target_pub_ids[0]: expected an object, got str")),
+      ({(0, "cited_target_pub_ids"): [{"surname": "p1"}]},
+       (FormatError, "citing_records[1].cited_target_pub_ids[0]: expected an object, got str"))]),
+    ("author", "orcid", _STR_FIELD,
+     [({(2, "authors", 1, "orcid"): "x"}, _PARSES),  # known now, and no part of the key
+      ({}, _PARSES)]),
+    ("author", "initials", (iv_io._STR, True, None),
+     [({}, (FormatError, "citing_records[0].authors[1]: missing required field 'initials'")),
+      ({(0, "authors", 1, "initials"): "m"},
+       (FormatError, "citing_records[1].authors[1]: missing required field 'initials'"))]),
 ]
 
 
-@pytest.mark.parametrize("kind, name, spec, probes", SCHEMA_EDITS)
-def test_record_reader_follows_schema(monkeypatch, kind, name, spec, probes):
-    """A reader built from an edited SCHEMA parses every document as the
-    walker does under that SCHEMA, so no field list is kept apart from it."""
+@pytest.mark.parametrize("kind, name, spec, outcomes", SCHEMA_EDITS)
+def test_parse_tables_follow_schema(monkeypatch, kind, name, spec, outcomes):
+    """`_parse` checks by tables derived from SCHEMA alone, so no field list
+    is kept apart from it: tables rebuilt from an edited SCHEMA give the
+    outcome the edit implies."""
+    assert iv_io._KINDS == iv_io._kinds(SCHEMA)
+    parsed = parse_dataset(_three_records())
     schema = {k: dict(fields) for k, fields in SCHEMA.items()}
     schema[kind][name] = spec
     monkeypatch.setattr(iv_io, "SCHEMA", schema)
-    monkeypatch.setattr(iv_io, "_read_record", iv_io._record_reader(schema))
-    for changes in probes:
-        document = _three_records(changes)
-        assert _outcome(document) == _walker_only(monkeypatch, document), changes
+    monkeypatch.setattr(iv_io, "_KINDS", iv_io._kinds(schema))
+    for changes, expected in outcomes:
+        outcome = _outcome(_three_records(changes))
+        assert outcome == (parsed if expected is _PARSES else expected), changes
 
 
 def test_a_new_record_field_is_rejected_by_name(monkeypatch):
     schema = dict(SCHEMA, **{"citing record": dict(SCHEMA["citing record"], venue=_STR_FIELD)})
     monkeypatch.setattr(iv_io, "SCHEMA", schema)
+    monkeypatch.setattr(iv_io, "_KINDS", iv_io._kinds(schema))
     with pytest.raises(TypeError, match="'venue'"):  # the model has no such field
         parse_dataset(_three_records({(2, "venue"): "x"}))
 
 
 def test_author_fields_are_in_the_models_order():
-    """The reader looks authors up by their fields in SCHEMA order, and
-    `_parse` stores them as (surname, initials)."""
+    """`_parse` stores an author in its memo, and looks one up there, by the
+    raw (surname, initials) pair, the fields in SCHEMA order."""
     assert list(SCHEMA["author"]) == [f.name for f in dataclasses.fields(AuthorKey)]
     assert list(SCHEMA["author"]) == ["surname", "initials"]
 
