@@ -12,7 +12,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import io as ivio
 from . import model
@@ -89,19 +89,6 @@ def _about(path: str):
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _checked_dataset(text: str) -> CitationDataset:
-    ds = ivio.parse_dataset(text)
-    findings = validate_dataset(ds)
-    if has_errors(findings):
-        raise ValueError(next(f for f in findings if f.severity is Severity.ERROR).message)
-    return ds
-
-
-def _as_of(ds: CitationDataset, year: int) -> CitationDataset:
-    """`ds` as of `year`: only the citing records dated by then."""
-    return replace(ds, citing_records=[r for r in ds.citing_records if r.year <= year])
-
-
 def _year_arg(name: str, year: Optional[int]) -> Optional[int]:
     """The year itself, if it lies in [YEAR_MIN, YEAR_MAX]."""
     problem = year_error(name, year)
@@ -139,7 +126,7 @@ def parse_window_arg(arg: str) -> WindowSpec:
     )
 
 
-def parse_filter_args(args: list[str], ds: Optional[CitationDataset]) -> FilterSet:
+def parse_filter_args(args: Sequence[str], ds: CitationDataset) -> FilterSet:
     exclude_self = False
     citing_only: Optional[str] = None
     for arg in args:
@@ -157,9 +144,31 @@ def parse_filter_args(args: list[str], ds: Optional[CitationDataset]) -> FilterS
                 f"unknown --filter {arg!r}: expected self-citations or cites-only:<pubid|most-cited>"
             )
     if citing_only == "most-cited":
-        assert ds is not None
         citing_only = most_cited_publication(ds)
     return FilterSet(exclude_self_citations=exclude_self, exclude_citing_only=citing_only)
+
+
+def _load(text: str, dataset: bool, last: Optional[int] = None, filters: Sequence[str] = ()):
+    """(counts, dataset) from the text of a dataset, or of a counts file with
+    dataset None. Only a dataset's records dated `last` or earlier count and
+    choose most-cited. Every error is a data error, empty input included."""
+    if not dataset:
+        counts, ds = ivio.parse_counts(text), None
+    else:
+        ds = ivio.parse_dataset(text)
+        findings = validate_dataset(ds)
+        if has_errors(findings):
+            raise ValueError(next(f for f in findings if f.severity is Severity.ERROR).message)
+        if not ds.citing_records:
+            raise ValueError("dataset has no citing records")
+        if last is not None:
+            ds = replace(ds, citing_records=[r for r in ds.citing_records if r.year <= last])
+            if not ds.citing_records:
+                raise ValueError(f"no citing records dated {last} or earlier")
+        counts = yearly_citing_counts(ds, parse_filter_args(filters, ds))
+    if not counts.counts:
+        raise ValueError("no citing publications to profile")
+    return counts, ds
 
 
 def cmd_validate(args) -> int:
@@ -188,19 +197,7 @@ def cmd_profile(args) -> int:
 
     path = args.counts or args.dataset
     with _about(path):
-        if args.counts:
-            counts = ivio.parse_counts(_read(path))
-            ds = None
-        else:
-            ds = _checked_dataset(_read(path))
-            if last is not None:  # later records neither count nor choose most-cited
-                ds = _as_of(ds, last)
-            fs = parse_filter_args(args.filter or [], ds)
-            counts = yearly_citing_counts(ds, fs)
-
-        if not counts.counts:
-            raise ValueError("no citing publications to profile")
-
+        counts, ds = _load(_read(path), bool(args.dataset), last, args.filter or ())
         if spec is None:
             spec = _growing_window(counts, ds)
         if first is None:
@@ -217,27 +214,18 @@ def cmd_profile(args) -> int:
 def cmd_indicators(args) -> int:
     year = _year_arg("--year", args.year)
     with _about(args.dataset):
-        ds = _checked_dataset(_read(args.dataset))
-        if not ds.citing_records:
-            raise ValueError("dataset has no citing records")
-        if year is None:
-            year = max(r.year for r in ds.citing_records)
         # As of `year`: only the records dated by then count, and only the
         # publications out by then enter the h-core.
-        ds = _as_of(ds, year)
-        if not ds.citing_records:
-            raise ValueError(f"no citing records dated {year} or earlier")
-        fs = FilterSet()
-        per_pub = citation_counts_per_publication(ds, fs)
-        counts = yearly_citing_counts(ds, fs)
-
+        counts, ds = _load(_read(args.dataset), True, year)
+        if year is None:
+            year = counts.max_year()
+        per_pub = citation_counts_per_publication(ds, FilterSet())
         pubs = [(p.id, per_pub[p.id], p.year) for p in ds.publications if p.year <= year]
         core = select_h_core(pubs, year)
         h, ar = len(core), ar_index(core)
-
-        spec = _growing_window(counts, ds)
-        first = min(counts.min_year(), spec.start_year)
-        profile = iv_profile(counts, spec, first, year)
+        # The latest point is the one for `year`: a growing window's total and
+        # length never fall, so no earlier year has a point when `year` has none.
+        profile = iv_profile(counts, _growing_window(counts, ds), year, year)
     latest = profile.points[-1] if profile.points else None
 
     out = {
@@ -275,18 +263,12 @@ def cmd_indicators(args) -> int:
 
 def _load_candidate(entry: dict, base: Path) -> CandidateProfile:
     path = str(base / entry["path"])
-    call_year, start, ds = entry["call_year"], entry["career_start_year"], None
+    call_year, start = entry["call_year"], entry["career_start_year"]
     with _about(path):
         text = _read(path)
-        if text.lstrip().startswith("{"):
-            ds = _checked_dataset(text)
-            counts = yearly_citing_counts(ds, FilterSet())
-            if start is None:
-                start = ds.target.career_start_year
-        else:
-            counts = ivio.parse_counts(text)
-        if not counts.counts:
-            raise ValueError("no citing publications")
+        counts, ds = _load(text, text.lstrip().startswith("{"))
+        if start is None and ds is not None:
+            start = ds.target.career_start_year
         spec = _growing_window(counts, ds, start)
         if call_year < spec.start_year:
             raise ValueError(f"call year {call_year} is before the window start {spec.start_year}")

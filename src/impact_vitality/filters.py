@@ -42,8 +42,7 @@ def most_cited_publication(ds: CitationDataset) -> str:
     if not ds.citing_records:
         raise ValueError("dataset has no citing records")
     counts = citation_counts_per_publication(ds, FilterSet())
-    pubs = sorted(ds.publications, key=lambda p: (-counts[p.id], p.year, p.id))
-    return pubs[0].id
+    return min(ds.publications, key=lambda p: (-counts[p.id], p.year, p.id)).id
 
 
 def apply_filters(ds: CitationDataset, fs: FilterSet) -> list[CitingRecord]:

@@ -115,9 +115,6 @@ class IVProfile:
     def __len__(self) -> int:
         return len(self.points)
 
-    def values(self) -> list[float]:
-        return [p.value for p in self.points]
-
 
 def iv_profile(
     counts: YearlyCitingCounts,

@@ -461,6 +461,43 @@ def test_exit_code_rule(case, code, tmp_path, table5_csv, dataset_file, empty_da
 
 
 @pytest.mark.parametrize(
+    "argv, named, message",
+    [
+        (["profile", "empty.json"], "empty.json", "dataset has no citing records"),
+        (["profile", "empty.json", "--filter", "cites-only:most-cited"], "empty.json",
+         "dataset has no citing records"),
+        (["indicators", "empty.json"], "empty.json", "dataset has no citing records"),
+        (["profile", "d.json", "--to", "2000"], "d.json", "no citing records dated 2000 or earlier"),
+        (["profile", "d.json", "--to", "2000", "--filter", "cites-only:most-cited"], "d.json",
+         "no citing records dated 2000 or earlier"),
+        (["indicators", "d.json", "--year", "2000"], "d.json",
+         "no citing records dated 2000 or earlier"),
+        (["profile", "d.json", "--filter", "cites-only:pA"], "d.json",
+         "no citing publications to profile"),
+        (["profile", "--counts", "empty.csv"], "empty.csv", "no citing publications to profile"),
+        (["cohort", "m_csv.csv"], "empty.csv", "no citing publications to profile"),
+        (["cohort", "m_json.csv"], "empty.json", "dataset has no citing records"),
+    ],
+    ids=["profile", "profile_most_cited", "indicators", "profile_to", "profile_to_most_cited",
+         "indicators_year", "all_filtered_out", "counts", "cohort_counts", "cohort_dataset"],
+)
+def test_empty_input_has_one_diagnostic_per_cause(argv, named, message, tmp_path, capsys):
+    """d.json holds 6 records from 2001 to 2003, each citing pA alone;
+    empty.json holds none, and empty.csv only its header."""
+    records = [(f"c{i}", 2001 + i % 3, {"pA"}) for i in range(6)]
+    (tmp_path / "d.json").write_text(emit_dataset(make_dataset([("pA", 2000), ("pB", 2000)], records)))
+    (tmp_path / "empty.json").write_text(emit_dataset(make_dataset([("pA", 2000)], [])))
+    (tmp_path / "empty.csv").write_text("year,count\n")
+    for name in ("csv", "json"):
+        (tmp_path / f"m_{name}.csv").write_text(
+            f"candidate_id,selected,call_year,career_start_year,path\nA,true,2003,,empty.{name}\n"
+        )
+    argv = [str(tmp_path / arg) if "." in arg else arg for arg in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"impact-vitality: error: {tmp_path / named}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, code, line",
     [
         (["validate", "no\nsuch\u2028file"], 1,

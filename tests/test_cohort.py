@@ -52,8 +52,9 @@ class TestProfileMin:
 
     def test_rejects_empty(self):
         empty = IVProfile(points=(), window_spec=FixedStart(2000, 2))
-        with pytest.raises(ValueError):
-            profile_min(empty)
+        for check in (profile_min, lambda p: all_above(p, 1.0)):
+            with pytest.raises(ValueError, match="profile is empty"):
+                check(empty)
 
 
 class TestAllAbove:
@@ -162,6 +163,8 @@ class TestCohortSummary:
             for r in (stats.min_iv_range, stats.fluctuation_range, stats.citing_per_year_last5):
                 if r is not None:
                     assert r.min <= r.mean <= r.max
+        with pytest.raises(ValueError, match="min <= mean <= max"):
+            RangeStat(1.0, 2.0, 3.0)
 
     def test_equal_values_give_their_own_mean(self):
         # fmean([x] * 5) is x plus one ulp for this x

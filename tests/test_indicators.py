@@ -197,8 +197,12 @@ class TestARIndex:
             assert ar_index(core) == pytest.approx(h)
 
     def test_rejects_bad_age(self):
-        with pytest.raises(ValueError):
-            ar_index([(5, 0)])
+        for core, message in [
+            ([(5, 0)], "age must be >= 1"),
+            ([(-1, 1)], "citation count must be >= 0"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                ar_index(core)
 
 
 class TestSelectHCore:

@@ -89,8 +89,12 @@ class TestParseDataset:
             parse_dataset(json.dumps(doc))
 
     def test_malformed_json(self):
-        with pytest.raises(FormatError, match="malformed"):
-            parse_dataset("{not json")
+        for document, message in [
+            ("{not json", "malformed"),
+            ("[" * 100_000 + "]" * 100_000, "^malformed JSON: nested too deeply$"),
+        ]:
+            with pytest.raises(FormatError, match=message):
+                parse_dataset(document)
 
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
