@@ -7,6 +7,7 @@ for any other error. Diagnostics go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import contextmanager
@@ -28,7 +29,6 @@ from .indicators import (
     select_h_core,
 )
 from .model import (
-    CitationDataset,
     Severity,
     citation_counts_per_publication,
     has_errors,
@@ -126,7 +126,10 @@ def parse_window_arg(arg: str) -> WindowSpec:
     )
 
 
-def parse_filter_args(args: Sequence[str], ds: CitationDataset) -> FilterSet:
+def parse_filter_args(args: Sequence[str]) -> tuple[bool, Optional[str]]:
+    """(exclude_self_citations, exclude_citing_only) from the `--filter`
+    values, checked before any file is read. The second may be
+    "most-cited", which only the dataset can resolve."""
     exclude_self = False
     citing_only: Optional[str] = None
     for arg in args:
@@ -143,15 +146,15 @@ def parse_filter_args(args: Sequence[str], ds: CitationDataset) -> FilterSet:
             raise UsageError(
                 f"unknown --filter {arg!r}: expected self-citations or cites-only:<pubid|most-cited>"
             )
-    if citing_only == "most-cited":
-        citing_only = most_cited_publication(ds)
-    return FilterSet(exclude_self_citations=exclude_self, exclude_citing_only=citing_only)
+    return exclude_self, citing_only
 
 
-def _load(text: str, dataset: bool, last: Optional[int] = None, filters: Sequence[str] = ()):
+def _load(text: str, dataset: bool, last: Optional[int] = None,
+          filters: tuple[bool, Optional[str]] = (False, None)):
     """(counts, dataset) from the text of a dataset, or of a counts file with
     dataset None. Only a dataset's records dated `last` or earlier count and
-    choose most-cited. Every error is a data error, empty input included."""
+    choose most-cited. `filters` is what `parse_filter_args` returns. Every
+    error is a data error, empty input included."""
     if not dataset:
         counts, ds = ivio.parse_counts(text), None
     else:
@@ -165,7 +168,11 @@ def _load(text: str, dataset: bool, last: Optional[int] = None, filters: Sequenc
             ds = replace(ds, citing_records=[r for r in ds.citing_records if r.year <= last])
             if not ds.citing_records:
                 raise ValueError(f"no citing records dated {last} or earlier")
-        counts = yearly_citing_counts(ds, parse_filter_args(filters, ds))
+        exclude_self, citing_only = filters
+        if citing_only == "most-cited":
+            citing_only = most_cited_publication(ds)
+        fs = FilterSet(exclude_self_citations=exclude_self, exclude_citing_only=citing_only)
+        counts = yearly_citing_counts(ds, fs)
     if not counts.counts:
         raise ValueError("no citing publications to profile")
     return counts, ds
@@ -194,10 +201,11 @@ def cmd_profile(args) -> int:
     if first is not None and last is not None and first > last:
         raise UsageError(f"empty observation range [{first}, {last}]")
     spec = parse_window_arg(args.window) if args.window else None
+    filters = parse_filter_args(args.filter or ())
 
     path = args.counts or args.dataset
     with _about(path):
-        counts, ds = _load(_read(path), bool(args.dataset), last, args.filter or ())
+        counts, ds = _load(_read(path), bool(args.dataset), last, filters)
         if spec is None:
             spec = _growing_window(counts, ds)
         if first is None:
@@ -373,6 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # A command's objects hold no reference cycles, so the cyclic collector
+    # would only re-scan the records and points that build up as it runs: it
+    # stays off for the command and comes back on only if the caller had it.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -385,6 +398,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # DataError, FormatError and the preconditions of library code
         print(f"{PROG}: error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -12,17 +12,17 @@ import csv
 import io as _io
 import json
 import re
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Iterator, Optional
 
 from .indicators import IVProfile
 from .model import (
     AuthorKey,
     CitationDataset,
-    CitingRecord,
     Publication,
     TargetAuthor,
     YearlyCitingCounts,
+    _citing_record,
     year_error,
 )
 
@@ -74,9 +74,10 @@ SCHEMA = {
                       "cited_target_pub_ids": (_LIST, True, str),
                       "doc_type": (_STR, False, None)},
 }
-# The model class each kind but "author" parses into.
-_MODELS = {"dataset": CitationDataset, "target": TargetAuthor,
-           "publication": Publication, "citing record": CitingRecord}
+# The model class that the kinds but "author" and "citing record" parse into;
+# a citing record, the kind a dataset holds most of, is built by
+# `model._citing_record`.
+_MODELS = {"dataset": CitationDataset, "target": TargetAuthor, "publication": Publication}
 
 
 def _kinds(schema: dict) -> dict:
@@ -170,6 +171,8 @@ def _parse(obj: Any, kind: str, where: Optional[tuple],
         else:
             for i, item in enumerate(value):
                 value[i] = _parse(item, nested, (where, name, i), keys)
+    if kind == "citing record":
+        return _citing_record(obj)
     return _MODELS[kind](**obj)
 
 
@@ -198,6 +201,9 @@ _EMITTED = {
     for kind, fields in SCHEMA.items()
 }
 _NEWLINE = tuple("\n" + "  " * depth for depth in range(8))  # deeper than SCHEMA nests
+# AuthorKey's own order, by the tuples its generated __lt__ compares, read
+# without a Python-level __lt__ call per comparison.
+_AUTHOR_ORDER = attrgetter("surname", "initials")
 
 
 def _scalar(value: Any, depth: int) -> str:
@@ -228,7 +234,7 @@ def _text(value: Any, kind: str, depth: int, memo: dict) -> str:
                 parts.append(key + _text(field, nested, depth + 1, memo))
             continue
         if type(field) is frozenset:
-            field = sorted(field)
+            field = sorted(field, key=_AUTHOR_ORDER) if nested == "author" else sorted(field)
         if not field:
             parts.append(key + "[]")
             continue

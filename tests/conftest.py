@@ -76,6 +76,26 @@ def table5_printed_iv():
     return TABLE5_PRINTED_IV
 
 
+def table5_dataset():
+    """The Table 5 author as 4,727 citing records of two 1985 publications,
+    "top" and "other", with the career starting in 1988. Year Y has
+    TABLE5_COUNTS["all"][Y] records: as many as the self-citation column
+    lacks have the target as an author, as many as the cites-only-top column
+    lacks cite "top" alone, and the rest cite both. No record is removed by
+    both filters, as the paper gives no column for the two together, and
+    "top" is the most-cited publication."""
+    records = []
+    for year, total in TABLE5_COUNTS["all"].items():
+        self_citing = total - TABLE5_COUNTS["excl_self_citing"][year]
+        top_only = total - TABLE5_COUNTS["excl_citing_only_top"][year]
+        for i in range(total):
+            cited = {"top"} if self_citing <= i < self_citing + top_only else {"top", "other"}
+            author = ("smith", "ja") if i < self_citing else ("jones", "k")
+            records.append((f"c{year}-{i}", year, cited, [author]))
+    target = make_target("smith", "ja", career_start_year=1988)
+    return make_dataset([("top", 1985), ("other", 1985)], records, target=target)
+
+
 def make_target(surname="smith", initials="ja", variants=(), career_start_year=None):
     return TargetAuthor(
         key=AuthorKey(surname, initials),

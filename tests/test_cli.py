@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,9 +22,9 @@ from impact_vitality import (
     YearlyCitingCounts,
     emit_counts,
     emit_dataset,
-    parse_dataset,
     validate_dataset,
 )
+from impact_vitality import cli
 from impact_vitality.cli import main, parse_filter_args
 from impact_vitality.model import has_errors
 
@@ -159,6 +161,25 @@ class TestProfile:
     def test_unknown_filter(self, dataset_file, capsys):
         assert main(["profile", dataset_file, "--filter", "bogus"]) == 2
 
+    @pytest.mark.parametrize("filters, message", [
+        (["self-citations", "bogus"],
+         "unknown --filter 'bogus': expected self-citations or cites-only:<pubid|most-cited>"),
+        (["cites-only:pA", "self-citations", "cites-only:most-cited"],
+         "--filter cites-only: may be given once, got 'pA' and 'most-cited'"),
+    ], ids=["unknown_clause", "cites_only_twice"])
+    @pytest.mark.parametrize("file", ["missing", "malformed", "empty", "good"])
+    def test_filter_syntax_is_checked_before_any_file_is_read(
+        self, filters, message, file, tmp_path, dataset_file, empty_dataset_file, capsys
+    ):
+        (tmp_path / "malformed.json").write_text("{not json")
+        path = {"missing": str(tmp_path / "missing.json"), "malformed": str(tmp_path / "malformed.json"),
+                "empty": empty_dataset_file, "good": dataset_file}[file]
+        argv = ["profile", path]
+        for value in filters:
+            argv += ["--filter", value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"impact-vitality: usage error: {message}\n"
+
     def test_year_range_flags(self, table5_csv, capsys):
         rc = main(
             ["profile", "--counts", table5_csv, "--window", "moving:5",
@@ -169,10 +190,11 @@ class TestProfile:
         years = [int(l.split(",")[0]) for l in lines[1:]]
         assert years == [2005, 2004, 2003, 2002, 2001, 2000]
 
-    def test_every_filter_clause_has_a_filter_form(self, dataset_file):
+    def test_every_filter_clause_has_a_filter_form(self):
         # A FilterSet field that no --filter form sets would be library-only.
-        ds = parse_dataset(Path(dataset_file).read_text())
-        fs = parse_filter_args(["self-citations", "cites-only:pA"], ds)
+        clauses = parse_filter_args(["self-citations", "cites-only:pA"])
+        assert len(clauses) == len(dataclasses.fields(FilterSet))
+        fs = FilterSet(*clauses)
         for field in dataclasses.fields(FilterSet):
             assert getattr(fs, field.name) != getattr(FilterSet(), field.name), field.name
 
@@ -517,6 +539,50 @@ def test_help_exits_zero(argv, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("usage: impact-vitality")
     assert err == ""
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("case, code", [
+    ("success", 0), ("data_error", 1), ("usage_error", 2), ("help", 0), ("crash", None),
+])
+def test_main_gives_the_caller_its_gc_state_back(case, code, caller_gc, table5_csv,
+                                                  monkeypatch, capsys):
+    """A command runs with the cyclic GC off; however it ends, the caller's
+    GC is on after `main` exactly when it was on before."""
+    seen = []
+
+    def crash(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr(cli, "cmd_validate", crash)
+    argv = {
+        "success": ["profile", "--counts", table5_csv],
+        "data_error": ["profile", "--counts", "/nonexistent.csv"],
+        "usage_error": ["profile", "--counts", table5_csv, "--window", "bogus"],
+        "help": ["--help"],
+        "crash": ["validate", "any.json"],
+    }[case]
+    was_enabled = gc.isenabled()
+    (gc.enable if caller_gc else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError, match="crash"):
+                main(argv)
+            assert seen == [False]
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is caller_gc
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_only_the_cli_imports_gc():
+    """The GC policy belongs to the application: library modules leave it alone."""
+    package = Path(impact_vitality.__file__).parent
+    users = [path.name for path in sorted(package.glob("*.py"))
+             if re.search(r"^\s*(import|from) gc\b", path.read_text(), re.MULTILINE)]
+    assert users == ["cli.py"]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ change of the output, rewrite them from the root of a checkout with
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -24,7 +25,7 @@ from impact_vitality import (
 from impact_vitality import indicators, model
 from impact_vitality.cli import main
 
-from conftest import TABLE5_COUNTS, make_dataset, make_target
+from conftest import TABLE5_COUNTS, TABLE5_PRINTED_IV, make_dataset, make_target, table5_dataset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -112,6 +113,39 @@ def test_stdout_matches_golden(name, fixture_dir):
     code, out = run_case(name, fixture_dir)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def table5_json(tmp_path_factory):
+    ds = table5_dataset()
+    assert len(ds.citing_records) == 4727
+    path = tmp_path_factory.mktemp("table5") / "table5.json"
+    path.write_text(emit_dataset(ds))
+    return str(path)
+
+
+def _profile_csv(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["profile", *argv, "--format", "csv"]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("filters, column", [
+    ([], "all"),
+    (["--filter", "self-citations"], "excl_self_citing"),
+    (["--filter", "cites-only:most-cited"], "excl_citing_only_top"),
+])
+def test_table5_from_citing_records(filters, column, table5_json):
+    """The paper's three regimes, from records through parse, validate,
+    the filters, most-cited, the kernel and the report: each prints the 17
+    published values of its column."""
+    out = _profile_csv(table5_json, *filters)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    printed = {str(year): f"{value:.2f}" for year, value in TABLE5_PRINTED_IV[column].items()}
+    assert {row["observation_year"]: row["iv_value"] for row in rows} == printed
+    if column == "excl_citing_only_top":
+        assert _profile_csv(table5_json, "--filter", "cites-only:top") == out
 
 
 def compensated_sum(items, start=0):

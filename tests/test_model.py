@@ -4,7 +4,7 @@ import pickle
 import subprocess
 import sys
 import unicodedata
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 from hypothesis import given
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from impact_vitality import (
     AuthorKey,
+    CitingRecord,
     FilterSet,
     Severity,
     TargetAuthor,
@@ -21,7 +22,7 @@ from impact_vitality import (
     validate_dataset,
     yearly_citing_counts,
 )
-from impact_vitality.model import _strip_diacritics
+from impact_vitality.model import _citing_record, _strip_diacritics
 
 from conftest import make_dataset, make_target
 
@@ -91,6 +92,61 @@ class TestTargetAuthor:
         target = make_target("smith", "ja", variants=[("smith", "j")])
         assert target.key in target.name_variants
         assert AuthorKey("smith", "j") in target.name_variants
+
+
+@st.composite
+def record_fields(draw):
+    """Valid keyword arguments of CitingRecord, in any order, each field with
+    a default present or absent, lists as the parser passes them."""
+    values = {"id": draw(st.text(max_size=4)), "year": draw(st.integers(1800, 2030))}
+    if draw(st.booleans()):
+        names = st.builds(AuthorKey, st.sampled_from(["smith", "Núñez", "lee"]),
+                          st.sampled_from(["", "J.", "ka"]))
+        values["authors"] = draw(st.lists(names, max_size=4))
+    if draw(st.booleans()):
+        values["cited_target_pub_ids"] = draw(st.lists(st.text(max_size=3), max_size=4))
+    if draw(st.booleans()):
+        values["doc_type"] = draw(st.sampled_from(["article", "review", ""]))
+    return dict(draw(st.permutations(list(values.items()))))
+
+
+class TestCitingRecordBuilder:
+    """`model._citing_record` builds what `CitingRecord(**values)` builds."""
+
+    @given(record_fields())
+    def test_builds_the_record_the_constructor_builds(self, values):
+        public = CitingRecord(**values)
+        built = _citing_record(dict(values))
+        assert type(built.authors) is frozenset and type(built.cited_target_pub_ids) is frozenset
+        # A remade frozenset may iterate in another order, so each remade
+        # record is compared with the public record remade the same way.
+        for remake in (lambda rec: rec, lambda rec: pickle.loads(pickle.dumps(rec)),
+                       copy.deepcopy, replace):
+            other, expected = remake(built), remake(public)
+            assert other == expected == public and hash(other) == hash(expected)
+            assert repr(other) == repr(expected)
+            assert list(vars(other).items()) == list(vars(expected).items())
+        with pytest.raises(FrozenInstanceError):
+            built.year = 2000
+
+    def test_sets_every_field_in_field_order(self):
+        names = [f.name for f in fields(CitingRecord)]
+        for values in ({"id": "c1", "year": 2000},
+                       {"doc_type": "review", "cited_target_pub_ids": ["p1"], "authors": [],
+                        "year": 2000, "id": "c1"}):
+            assert list(vars(_citing_record(values))) == names
+
+    @pytest.mark.parametrize("values", [
+        {"id": "c1", "year": 2000, "venue": "x"},
+        {"id": "c1"},
+        {"year": 2000, "cited_target_pub_ids": []},
+    ], ids=["unknown_field", "no_year", "no_id"])
+    def test_falls_back_to_the_constructors_error(self, values):
+        with pytest.raises(TypeError) as public:
+            CitingRecord(**values)
+        with pytest.raises(TypeError) as built:
+            _citing_record(values)
+        assert str(built.value) == str(public.value)
 
 
 class TestValidateDataset:
