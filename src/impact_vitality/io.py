@@ -19,10 +19,10 @@ from .indicators import IVProfile
 from .model import (
     AuthorKey,
     CitationDataset,
+    CitingRecord,
     Publication,
     TargetAuthor,
     YearlyCitingCounts,
-    _citing_record,
     year_error,
 )
 
@@ -74,10 +74,9 @@ SCHEMA = {
                       "cited_target_pub_ids": (_LIST, True, str),
                       "doc_type": (_STR, False, None)},
 }
-# The model class that the kinds but "author" and "citing record" parse into;
-# a citing record, the kind a dataset holds most of, is built by
-# `model._citing_record`.
-_MODELS = {"dataset": CitationDataset, "target": TargetAuthor, "publication": Publication}
+# The model class that each kind but "author" parses into.
+_MODELS = {"dataset": CitationDataset, "target": TargetAuthor, "publication": Publication,
+           "citing record": CitingRecord}
 
 
 def _kinds(schema: dict) -> dict:
@@ -171,8 +170,6 @@ def _parse(obj: Any, kind: str, where: Optional[tuple],
         else:
             for i, item in enumerate(value):
                 value[i] = _parse(item, nested, (where, name, i), keys)
-    if kind == "citing record":
-        return _citing_record(obj)
     return _MODELS[kind](**obj)
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import datetime
 import math
 import unicodedata
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
     from .filters import FilterSet
@@ -104,7 +104,7 @@ class Publication:
     label: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CitingRecord:
     """One deduplicated citing document.
 
@@ -119,34 +119,18 @@ class CitingRecord:
     cited_target_pub_ids: frozenset[str] = frozenset()
     doc_type: str = "article"
 
-    def __post_init__(self):
-        object.__setattr__(self, "authors", frozenset(self.authors))
-        object.__setattr__(
-            self, "cited_target_pub_ids", frozenset(self.cited_target_pub_ids)
-        )
-
-
-_CITING_RECORD_FIELDS = frozenset(f.name for f in fields(CitingRecord))
-
-
-def _citing_record(values: dict) -> CitingRecord:
-    """`CitingRecord(**values)`, built without the dataclass `__init__`,
-    which costs more than half of parsing a record after the JSON decode.
-    Each field is set once, in field order, its lists made frozensets as
-    `__post_init__` makes them; an absent field takes the class's default.
-    A name the model lacks, or a missing required field, goes to the public
-    constructor, whose TypeError names it."""
-    if not values.keys() <= _CITING_RECORD_FIELDS or "id" not in values or "year" not in values:
-        return CitingRecord(**values)
-    get, cls = values.get, CitingRecord
-    record = object.__new__(cls)
-    object.__setattr__(record, "id", values["id"])
-    object.__setattr__(record, "year", values["year"])
-    object.__setattr__(record, "authors", frozenset(get("authors", cls.authors)))
-    object.__setattr__(record, "cited_target_pub_ids",
-                       frozenset(get("cited_target_pub_ids", cls.cited_target_pub_ids)))
-    object.__setattr__(record, "doc_type", get("doc_type", cls.doc_type))
-    return record
+    def __init__(self, id: str, year: int, authors: Iterable[AuthorKey] = frozenset(),
+                 cited_target_pub_ids: Iterable[str] = frozenset(), doc_type: str = "article"):
+        # Written out, as a dataset holds mostly records: a generated
+        # `__init__` would need a `__post_init__` to make the collections
+        # frozensets, setting them twice. The signature must list the
+        # fields in order, with their defaults.
+        set_field = object.__setattr__
+        set_field(self, "id", id)
+        set_field(self, "year", year)
+        set_field(self, "authors", frozenset(authors))
+        set_field(self, "cited_target_pub_ids", frozenset(cited_target_pub_ids))
+        set_field(self, "doc_type", doc_type)
 
 
 @dataclass(frozen=True)

@@ -229,3 +229,9 @@ def test_main_never_raises_on_arguments(workdir, parts):
     elif not (command == "validate" and "ERROR: " in out):
         assert err.startswith("impact-vitality:") and err.endswith("\n"), err
         assert len(err.splitlines()) == 1, err
+    # A bad --filter is a usage error whatever the files hold.
+    filter_values = [chunk[1] for chunk in chunks if chunk[0] == "--filter"]
+    cites_only = sum(v.startswith("cites-only:") for v in filter_values)
+    unknown = len(filter_values) - cites_only - filter_values.count("self-citations")
+    if command == "profile" and not {"-h", "--help"} & set(argv) and (unknown or cites_only > 1):
+        assert code == 2, err

@@ -2,9 +2,11 @@
 
 import functools
 import math
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -306,3 +308,23 @@ def test_dataset_round_trip(tuples, career_start):
         target=target,
     )
     assert parse_dataset(emit_dataset(ds)) == ds
+
+
+def test_a_failing_property_prints_its_falsifying_example(tmp_path):
+    """The suite's warning filters let a failing property report its example
+    instead of ending the run in an INTERNALERROR."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 10\n"
+    )
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_fails.py")],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
