@@ -11,7 +11,6 @@ from .cohort import (
     CandidateProfile,
     CohortStats,
     RangeStat,
-    all_above,
     cohort_summary,
     profile_fluctuation,
     profile_min,
@@ -74,7 +73,6 @@ __all__ = [
     "TargetAuthor",
     "WindowSpec",
     "YearlyCitingCounts",
-    "all_above",
     "apply_filters",
     "ar_index",
     "citation_counts_per_publication",

@@ -68,7 +68,7 @@ class DataError(ValueError):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError:

@@ -14,7 +14,7 @@ from typing import Optional
 from .indicators import IVProfile
 from .model import YearlyCitingCounts
 
-FLUCTUATION_SPAN = 5  # observation years counted back from the call, inclusive
+CALL_SPAN = 5  # the "5 years until call", inclusive, of IV fluctuation and citing mean
 
 
 @dataclass(frozen=True)
@@ -62,29 +62,18 @@ def profile_min(p: IVProfile) -> float:
     return min(pt.value for pt in p.points)
 
 
-def all_above(p: IVProfile, threshold: float) -> bool:
-    """True iff every profile value is strictly above the threshold."""
-    if not p.points:
-        raise ValueError("profile is empty")
-    return all(pt.value > threshold for pt in p.points)
+def profile_fluctuation(p: IVProfile, call_year: int) -> Optional[float]:
+    """Max minus min IV over the CALL_SPAN years up to the call, else None.
 
-
-def profile_fluctuation(
-    p: IVProfile, call_year: int, k: int = FLUCTUATION_SPAN
-) -> Optional[float]:
-    """Max minus min IV over the k years up to the call, else None.
-
-    Defined only when exactly k observation years in
-    [call_year - k + 1, call_year] carry an IV value.
+    Defined only when each of the CALL_SPAN observation years in
+    [call_year - CALL_SPAN + 1, call_year] carries an IV value.
     """
-    if k < 2:
-        raise ValueError(f"fluctuation span must be >= 2, got {k}")
     in_span = [
         pt.value
         for pt in p.points
-        if call_year - k + 1 <= pt.observation_year <= call_year
+        if call_year - CALL_SPAN + 1 <= pt.observation_year <= call_year
     ]
-    if len(in_span) != k:
+    if len(in_span) != CALL_SPAN:
         return None
     return max(in_span) - min(in_span)
 
@@ -107,13 +96,15 @@ def _group_stats(group: list[CandidateProfile]) -> CohortStats:
     if not group:
         return CohortStats(0, None, None, None, None, None)
     minima = [profile_min(c.profile) for c in group]
-    above = [all_above(c.profile, 1.0) for c in group]
     fluctuations = [
         f
         for c in group
         if (f := profile_fluctuation(c.profile, c.call_year)) is not None
     ]
-    last5 = [_mean_citing(c.yearly_counts, c.call_year - 4, c.call_year) for c in group]
+    last5 = [
+        _mean_citing(c.yearly_counts, c.call_year - CALL_SPAN + 1, c.call_year)
+        for c in group
+    ]
     since_start = [
         _mean_citing(c.yearly_counts, c.career_start_year, c.call_year)
         for c in group
@@ -122,7 +113,7 @@ def _group_stats(group: list[CandidateProfile]) -> CohortStats:
     return CohortStats(
         group_size=len(group),
         min_iv_range=_range_stat(minima),
-        share_all_above_one=sum(above) / len(group),
+        share_all_above_one=sum(m > 1.0 for m in minima) / len(group),  # all > 1 iff min > 1
         fluctuation_range=_range_stat(fluctuations),
         citing_per_year_last5=_range_stat(last5),
         citing_per_year_since_start=_range_stat(since_start),

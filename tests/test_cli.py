@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import gc
+import inspect
 import io
 import json
 import math
@@ -267,6 +268,20 @@ class TestIndicators:
             assert (data["observation_year"], data["h_index"]) == (year, h)
             assert data["ar_index"] == round(ar, 4)
 
+    def test_no_admissible_window_leaves_iv_undefined(self, tmp_path, capsys):
+        ds = make_dataset(
+            [("p1", 1999)], [("c0", 2000, {"p1"}), ("c1", 2001, {"p1"})],
+            target=make_target(career_start_year=2000),
+        )
+        path = tmp_path / "ds.json"
+        path.write_text(emit_dataset(ds))
+        assert main(["indicators", str(path), "--year", "2001"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "impact_vitality: undefined (no admissible window)"
+        )
+        assert main(["indicators", str(path), "--year", "2001", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["impact_vitality"] is None
+
     @pytest.fixture
     def cited_1991_to_1996(self, tmp_path):
         """One 1990 publication, cited once a year from 1991 to 1996."""
@@ -411,6 +426,29 @@ class TestCohort:
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n")
         assert main(["cohort", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("command", ["profile", "indicators", "cohort"])
+def test_a_file_may_start_with_a_byte_order_mark(command, tmp_path, table5_csv,
+                                                 dataset_file, capsys):
+    """Spreadsheets save "CSV UTF-8" with a leading U+FEFF; it is read as absent."""
+    argv, path = {
+        "profile": (["profile", "--counts"], Path(table5_csv)),
+        "indicators": (["indicators"], Path(dataset_file)),
+        "cohort": (["cohort"], tmp_path / "m.csv"),
+    }[command]
+    (tmp_path / "m.csv").write_text(
+        "candidate_id,selected,call_year,career_start_year,path\n"
+        "A,true,2007,1988,table5.csv\nB,false,2006,,table5.csv\n"
+    )
+    marked = path.with_name("marked-" + path.name)
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    results = []
+    for file in (path, marked):
+        code = main([*argv, str(file)])
+        results.append((code, capsys.readouterr().out))
+    assert results[0][0] == 0 and results[0][1]
+    assert results[1] == results[0]
 
 
 @pytest.fixture
@@ -575,6 +613,16 @@ def test_main_gives_the_caller_its_gc_state_back(case, code, caller_gc, table5_c
         assert gc.isenabled() is caller_gc
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_the_export_lists_agree():
+    """`__all__` is sorted, has no duplicates and names every public non-module
+    the package binds, so a name dropped from one list but not the other shows."""
+    names = impact_vitality.__all__
+    assert names == sorted(set(names))
+    bound = {name for name, value in vars(impact_vitality).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert set(names) == bound
 
 
 def test_only_the_cli_imports_gc():

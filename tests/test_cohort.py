@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from impact_vitality import (
@@ -7,12 +9,12 @@ from impact_vitality import (
     IVProfile,
     RangeStat,
     YearlyCitingCounts,
-    all_above,
     cohort_summary,
     iv_profile,
     profile_fluctuation,
     profile_min,
 )
+from impact_vitality import cohort
 
 from conftest import TABLE5_COUNTS
 
@@ -52,51 +54,27 @@ class TestProfileMin:
 
     def test_rejects_empty(self):
         empty = IVProfile(points=(), window_spec=FixedStart(2000, 2))
-        for check in (profile_min, lambda p: all_above(p, 1.0)):
-            with pytest.raises(ValueError, match="profile is empty"):
-                check(empty)
-
-
-class TestAllAbove:
-    def test_table5_all_above_one(self):
-        counts = YearlyCitingCounts(TABLE5_COUNTS["all"])
-        profile = iv_profile(counts, FixedStart(1988, 4), 1988, 2007)
-        assert all_above(profile, 1.0)
-
-    def test_strict_inequality(self):
-        assert not all_above(profile_from_values([1.2, 1.0, 1.4]), 1.0)
-
-    def test_zero_threshold(self):
-        assert all_above(profile_from_values([0.1, 0.5]), 0.0)
-
-    def test_consistency_with_profile_min(self):
-        p = profile_from_values([1.2, 1.05, 1.7])
-        for t in (0.9, 1.05, 1.2, 2.0):
-            assert all_above(p, t) == (profile_min(p) > t)
+        with pytest.raises(ValueError, match="profile is empty"):
+            profile_min(empty)
 
 
 class TestProfileFluctuation:
     def test_published_arithmetic(self):
         # Table 5 IV values for 2000-2004 around the 2004 call
         p = profile_from_values([1.84, 1.82, 1.76, 1.71, 1.62], first_year=2000)
-        assert profile_fluctuation(p, 2004, k=5) == pytest.approx(0.22)
+        assert profile_fluctuation(p, 2004) == pytest.approx(0.22)
 
     def test_undefined_when_too_few_points(self):
         p = profile_from_values([1.1, 1.2, 1.3], first_year=2002)
-        assert profile_fluctuation(p, 2004, k=5) is None
+        assert profile_fluctuation(p, 2004) is None
 
     def test_constant_profile(self):
         p = profile_from_values([1.3] * 5)
-        assert profile_fluctuation(p, 2004, k=5) == 0.0
-
-    def test_rejects_degenerate_span(self):
-        p = profile_from_values([1.3] * 5)
-        with pytest.raises(ValueError):
-            profile_fluctuation(p, 2004, k=1)
+        assert profile_fluctuation(p, 2004) == 0.0
 
     def test_points_outside_span_ignored(self):
         p = profile_from_values([9.0, 1.5, 1.4, 1.3, 1.2, 1.1], first_year=1999)
-        assert profile_fluctuation(p, 2004, k=5) == pytest.approx(0.4)
+        assert profile_fluctuation(p, 2004) == pytest.approx(0.4)
 
 
 class TestCohortSummary:
@@ -151,6 +129,22 @@ class TestCohortSummary:
         assert stats.citing_per_year_last5.mean == pytest.approx(30.0)
         assert stats.citing_per_year_since_start.mean == pytest.approx(30.0)
 
+    def test_share_all_above_one_is_strict(self):
+        # a lowest IV of exactly 1.0 is not above 1; one just above it is
+        cands = [
+            candidate("at", True, [1.2, 1.0, 1.4]),
+            candidate("above", True, [1.2, math.nextafter(1.0, 2.0), 1.4]),
+        ]
+        assert cohort_summary(cands)["selected"].share_all_above_one == 0.5
+
+    def test_call_span_sets_both_last5_statistics(self, monkeypatch):
+        monkeypatch.setattr(cohort, "CALL_SPAN", 3)
+        counts = {2000: 10, 2001: 20, 2002: 30, 2003: 40, 2004: 60}
+        c = candidate("x", True, [1.9, 1.1, 1.2, 1.6, 1.3], counts=counts)
+        stats = cohort_summary([c])["selected"]
+        assert stats.citing_per_year_last5.mean == pytest.approx((30 + 40 + 60) / 3)
+        assert stats.fluctuation_range.mean == pytest.approx(1.6 - 1.2)
+
     def test_since_start_needs_career_start(self):
         c = candidate("x", True, [1.1] * 5)  # no career_start_year
         stats = cohort_summary([c])["selected"]
@@ -187,7 +181,7 @@ class TestCohortSummary:
         p1 = iv_profile(YearlyCitingCounts(base), spec, 1995, 2004)
         p2 = iv_profile(YearlyCitingCounts(scaled), spec, 1995, 2004)
         assert profile_min(p1) == pytest.approx(profile_min(p2), abs=1e-12)
-        assert all_above(p1, 1.0) == all_above(p2, 1.0)
+        assert (profile_min(p1) > 1.0) == (profile_min(p2) > 1.0)
         f1 = profile_fluctuation(p1, 2004)
         f2 = profile_fluctuation(p2, 2004)
         assert f1 == pytest.approx(f2, abs=1e-12)
