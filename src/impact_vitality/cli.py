@@ -15,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import cohort
 from . import io as ivio
 from . import model
 from .cohort import CandidateProfile, RangeStat, cohort_summary
@@ -43,19 +44,23 @@ PROG = "impact-vitality"
 # literal: a diagnostic stays one line where it quotes a name holding one.
 _LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
 
-# Cohort statistics in output order: (text label, JSON key, CohortStats
-# field, decimals in the text table). A range prints as "min to max,
-# average mean"; the share prints as a percentage.
-COHORT_ROWS = (
-    ("Number of candidates", "group_size", "group_size", 0),
-    ("Minimum IV", "min_iv", "min_iv_range", 2),
-    ("Share with all IV values > 1", "share_all_above_one", "share_all_above_one", 0),
-    ("IV fluctuation in 5 years until call", "fluctuation_last5", "fluctuation_range", 2),
-    ("Citing publications per year, 5 years until call", "citing_per_year_last5",
-     "citing_per_year_last5", 1),
-    ("Citing publications per year since career start", "citing_per_year_since_start",
-     "citing_per_year_since_start", 1),
-)
+
+def _cohort_rows(span: int) -> tuple:
+    """Cohort statistics in output order: (text label, JSON key, CohortStats
+    field, decimals in the text table). `span` is the years until the call
+    that two rows cover. A range prints as "min to max, average mean"; the
+    share prints as a percentage."""
+    return (
+        ("Number of candidates", "group_size", "group_size", 0),
+        ("Minimum IV", "min_iv", "min_iv_range", 2),
+        ("Share with all IV values > 1", "share_all_above_one", "share_all_above_one", 0),
+        (f"IV fluctuation in {span} years until call", f"fluctuation_last{span}",
+         "fluctuation_range", 2),
+        (f"Citing publications per year, {span} years until call", f"citing_per_year_last{span}",
+         "citing_per_year_last5", 1),
+        ("Citing publications per year since career start", "citing_per_year_since_start",
+         "citing_per_year_since_start", 1),
+    )
 
 
 class UsageError(Exception):
@@ -67,14 +72,23 @@ class DataError(ValueError):
 
 
 def _read(path: str) -> str:
+    """The text of `path` as text mode reads it: a leading BOM is dropped
+    and "\r\n" and a lone "\r" end a line as "\n" does."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
+        with open(path, "rb") as file:  # Path(path).read_bytes() costs more per file
+            data = file.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError:
-        raise DataError(f"cannot decode {path} as UTF-8") from None
     except ValueError as exc:  # a path the OS cannot take, e.g. with a NUL byte
         raise DataError(f"cannot read {path!r}: {exc}") from None
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise DataError(f"cannot decode {path} as UTF-8") from None
+    # UTF-8 writes "\r" only as this byte, so most files skip both scans.
+    if b"\r" in data:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 @contextmanager
@@ -315,19 +329,20 @@ def cmd_cohort(args) -> int:
             raise ValueError("no candidates listed")
         base = Path(args.manifest).parent
         summary = cohort_summary([_load_candidate(e, base) for e in entries])
+    rows = _cohort_rows(cohort.CALL_SPAN)
 
     if args.format == "json":
         doc = {
-            group: {key: _stat_json(getattr(stats, field)) for _, key, field, _ in COHORT_ROWS}
+            group: {key: _stat_json(getattr(stats, field)) for _, key, field, _ in rows}
             for group, stats in summary.items()
         }
         print(json.dumps(doc, indent=2))
         return 0
 
     sel, non = summary["selected"], summary["not_selected"]
-    width = max(len(label) for label, *_ in COHORT_ROWS)
+    width = max(len(label) for label, *_ in rows)
     print(f"{'':<{width}}  | Selected | Not selected")
-    for label, _, field, decimals in COHORT_ROWS:
+    for label, _, field, decimals in rows:
         cells = [_stat_cell(getattr(stats, field), decimals) for stats in (sel, non)]
         print(f"{label:<{width}}  | {cells[0]} | {cells[1]}")
     return 0

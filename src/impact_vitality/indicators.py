@@ -90,13 +90,25 @@ class FixedStart:
 WindowSpec = Union[MovingWindow, FixedStart]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IVPoint:
     observation_year: int
     window_length: int
     value: float
     total_citing: int
     zero_year_flag: bool  # some window year had zero citing publications
+
+    def __init__(self, observation_year: int, window_length: int, value: float,
+                 total_citing: int, zero_year_flag: bool):
+        # Written out, as a cohort holds every candidate's points at once: a
+        # generated `__init__` looks up `object.__setattr__` once per field.
+        # The signature must list the fields in order, without defaults.
+        set_field = object.__setattr__
+        set_field(self, "observation_year", observation_year)
+        set_field(self, "window_length", window_length)
+        set_field(self, "value", value)
+        set_field(self, "total_citing", total_citing)
+        set_field(self, "zero_year_flag", zero_year_flag)
 
 
 @dataclass(frozen=True)
@@ -158,17 +170,20 @@ def iv_profile(
         after[i] = after[i + 1] + count
         next_zero[i] = i if count == 0 else next_zero[i + 1]
 
+    # Window k (k years before the last) is newest[k:end]: a moving window
+    # ends n cells on, a growing one at the oldest start. The kernel is read
+    # from the module here, per call, so that a rebound `impact_vitality`
+    # (the benchmark's call counter) sees every point.
     points: list[IVPoint] = []
+    append, point, kernel = points.append, IVPoint, impact_vitality
     for y_t in range(first_year, last_year + 1):
-        n = spec.n if moving else y_t - oldest + 1
         k = last_year - y_t
-        total = after[k] - after[k + n]
+        end = k + spec.n if moving else size
+        total = after[k] - after[end]
         if total == 0:
             continue
         # by position, in field order: keyword arguments cost more per point
-        points.append(
-            IVPoint(y_t, n, impact_vitality(newest[k:k + n]), total, next_zero[k] < k + n)
-        )
+        append(point(y_t, end - k, kernel(newest[k:end]), total, next_zero[k] < end))
     return IVProfile(points=tuple(points), window_spec=spec)
 
 

@@ -317,7 +317,8 @@ def _plain_counts(document: str) -> Optional[dict[int, int]]:
     if match is None:
         return None
     body = match[1]
-    cells = map(int, body.replace("\n", ",").split(",")[:-1])
+    # The regex has checked every cell, so the cells read as one JSON list.
+    cells = iter(json.loads("[" + body.replace("\n", ",")[:-1] + "]"))
     counts = dict(zip(cells, cells))  # year, count, year, count, ...
     if len(counts) != body.count("\n"):  # a year repeats
         return None

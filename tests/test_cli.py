@@ -25,7 +25,7 @@ from impact_vitality import (
     emit_dataset,
     validate_dataset,
 )
-from impact_vitality import cli
+from impact_vitality import cli, cohort
 from impact_vitality.cli import main, parse_filter_args
 from impact_vitality.model import has_errors
 
@@ -396,6 +396,19 @@ class TestCohort:
         out = capsys.readouterr().out
         assert "Selected" in out and "Minimum IV" in out
 
+    def test_rows_name_the_call_span(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cohort, "CALL_SPAN", 3)
+        manifest = self.make_manifest(tmp_path)
+        assert main(["cohort", manifest]) == 0
+        out = capsys.readouterr().out
+        assert "IV fluctuation in 3 years until call" in out
+        assert "Citing publications per year, 3 years until call" in out
+        assert "5 years" not in out
+        assert main(["cohort", manifest, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert {"fluctuation_last3", "citing_per_year_last3"} <= set(data["selected"])
+        assert not any(key.endswith("last5") for key in data["selected"])
+
     def test_call_year_before_anchor_is_data_error(self, tmp_path, capsys):
         (tmp_path / "late.csv").write_text("year,count\n2001,3\n2002,4\n")
         (tmp_path / "m.csv").write_text(
@@ -428,10 +441,23 @@ class TestCohort:
         assert main(["cohort", str(bad)]) == 1
 
 
-@pytest.mark.parametrize("command", ["profile", "indicators", "cohort"])
-def test_a_file_may_start_with_a_byte_order_mark(command, tmp_path, table5_csv,
+# How a copy of a file is made from its "\n"-ended UTF-8 bytes.
+COPIES = {
+    "bom": lambda data: b"\xef\xbb\xbf" + data,
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "cr": lambda data: data.replace(b"\n", b"\r"),
+}
+
+
+@pytest.mark.parametrize("command, copy", [
+    # a BOM copy is named by its command alone
+    pytest.param(command, copy, id=command if copy == "bom" else f"{command}-{copy}")
+    for copy in COPIES for command in ("profile", "indicators", "cohort")
+])
+def test_a_file_may_start_with_a_byte_order_mark(command, copy, tmp_path, table5_csv,
                                                  dataset_file, capsys):
-    """Spreadsheets save "CSV UTF-8" with a leading U+FEFF; it is read as absent."""
+    """Spreadsheets save "CSV UTF-8" with a leading U+FEFF; it is read as
+    absent. Lines may end in "\r\n" or a lone "\r", as text mode reads them."""
     argv, path = {
         "profile": (["profile", "--counts"], Path(table5_csv)),
         "indicators": (["indicators"], Path(dataset_file)),
@@ -442,13 +468,37 @@ def test_a_file_may_start_with_a_byte_order_mark(command, tmp_path, table5_csv,
         "A,true,2007,1988,table5.csv\nB,false,2006,,table5.csv\n"
     )
     marked = path.with_name("marked-" + path.name)
-    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    marked.write_bytes(COPIES[copy](path.read_bytes()))
     results = []
     for file in (path, marked):
         code = main([*argv, str(file)])
         results.append((code, capsys.readouterr().out))
     assert results[0][0] == 0 and results[0][1]
     assert results[1] == results[0]
+
+
+@given(st.lists(st.sampled_from(["a", "é", ",", "\n", "\r", "\r\n", "\ufeff"]), max_size=12),
+       st.booleans())
+def test_a_file_reads_as_text_mode_reads_it(pieces, bom):
+    data = ("\ufeff" if bom else "").encode() + "".join(pieces).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "f.csv")
+        path.write_bytes(data)
+        assert cli._read(str(path)) == path.read_text(encoding="utf-8-sig")
+
+
+@pytest.mark.parametrize("command, content", [
+    (["profile", "--counts"], "year,count\n2000,1\n"),
+    (["indicators"], "{}"),
+    (["cohort"], "candidate_id,selected,call_year,career_start_year,path\n"),
+], ids=["counts", "dataset", "manifest"])
+def test_an_undecodable_file_is_named(command, content, tmp_path, capsys):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe" + content.encode())
+    assert main([*command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"impact-vitality: error: cannot decode {path} as UTF-8\n"
 
 
 @pytest.fixture

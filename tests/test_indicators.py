@@ -1,6 +1,12 @@
+import copy
+import inspect
 import math
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from impact_vitality import indicators
 from impact_vitality import (
@@ -161,6 +167,32 @@ class TestIVProfile:
         pt = IVPoint(2000, 5, 1.0, 10, False)
         with pytest.raises(ValueError):
             IVProfile(points=(pt, pt), window_spec=MovingWindow(5))
+
+
+class TestIVPointConstructor:
+    """`IVPoint`'s hand-written `__init__` behaves as a generated one would."""
+
+    def test_signature_lists_the_fields_in_order_without_defaults(self):
+        params = inspect.signature(IVPoint).parameters
+        assert [(p.name, p.kind, p.default) for p in params.values()] == [
+            (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+            for f in fields(IVPoint)
+        ]
+
+    @given(st.tuples(st.integers(1800, 2030), st.integers(2, 300), st.floats(allow_nan=False),
+                     st.integers(1, 10**6), st.booleans()))
+    def test_a_positional_point_is_the_keyword_point(self, values):
+        built = IVPoint(*values)
+        by_name = IVPoint(**{f.name: v for f, v in zip(fields(IVPoint), values)})
+        for remake in (lambda pt: pt, lambda pt: pickle.loads(pickle.dumps(pt)),
+                       copy.deepcopy, replace):
+            other = remake(built)
+            assert other == by_name and hash(other) == hash(by_name)
+            assert repr(other) == repr(by_name)
+            assert [getattr(other, f.name) for f in fields(IVPoint)] == list(values)
+        with pytest.raises(FrozenInstanceError):
+            built.value = 1.0
+        assert not hasattr(built, "__dict__")
 
 
 class TestHIndex:
