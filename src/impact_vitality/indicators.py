@@ -51,16 +51,16 @@ def impact_vitality(counts: Sequence[int]) -> float:
     n = len(counts)
     if n < 2:
         raise ValueError(f"window length must be >= 2, got {n}")
-    if min(counts) < 0:
-        raise ValueError("citing counts must be non-negative")
-    total = sum(counts)
-    if total <= 0:
-        raise ValueError("window total must be positive")
     weighted = 0.0
     age = 0
     for count in counts:
+        if count < 0:
+            raise ValueError("citing counts must be non-negative")
         age += 1
         weighted += count / age
+    total = sum(counts)
+    if total <= 0:
+        raise ValueError("window total must be positive")
     return (n * (weighted / total) - 1.0) / (harmonic(n) - 1.0)
 
 

@@ -74,17 +74,21 @@ SCHEMA = {
                       "cited_target_pub_ids": (_LIST, True, str),
                       "doc_type": (_STR, False, None)},
 }
-# The model class that each kind but "author" parses into.
-_MODELS = {"dataset": CitationDataset, "target": TargetAuthor, "publication": Publication,
-           "citing record": CitingRecord}
+# The model class that each kind parses into. `_parse` compares types with
+# the classes held here: bench/tracing.py rebinds the module's `AuthorKey`
+# to a counting function.
+_MODELS = {"dataset": CitationDataset, "target": TargetAuthor, "author": AuthorKey,
+           "publication": Publication, "citing record": CitingRecord}
 
 
 def _kinds(schema: dict) -> dict:
     """Per kind of `schema`, what `_parse` checks: the JSON types by field
     name, the required fields, and the nested fields as (name, whether a
-    list, nested kind), both in `schema` order."""
+    list, nested kind), both in `schema` order. An author field that is no
+    list also admits the `AuthorKey` the decode makes of a valid author."""
     return {
-        kind: ({name: types for name, (types, _, _) in fields.items()},
+        kind: ({name: types + (_MODELS["author"],) if nested == "author" and types is not _LIST
+                else types for name, (types, _, nested) in fields.items()},
                tuple(name for name, (_, required, _) in fields.items() if required),
                tuple((name, types is _LIST, nested)
                      for name, (types, _, nested) in fields.items() if nested is not None))
@@ -117,8 +121,8 @@ def _parse(obj: Any, kind: str, where: Optional[tuple],
     An "author" gives its `AuthorKey`: `keys` maps each raw (surname,
     initials) pair seen so far in the document to its key, so each distinct
     name is normalized once; a pair that fails normalization is not stored.
-    An item of an author list is looked up there by its raw pair first, and
-    only a miss is checked in full."""
+    A nested value that already is its kind's model, as the decode makes of
+    each valid author, is kept as it is."""
     if type(obj) is not dict:
         raise FormatError(f"{_where(where)}: expected an object, got {type(obj).__name__}")
     if kind == "dataset":  # the version fixes the layout, so it is checked first
@@ -157,20 +161,48 @@ def _parse(obj: Any, kind: str, where: Optional[tuple],
                 if type(item) is not str:
                     raise FormatError(f"{_where(where)}: {name!r} must hold only str")
         elif not is_list:
-            obj[name] = _parse(value, nested, (where, name, None), keys)
-        elif nested == "author":
-            for i, item in enumerate(value):
-                key = None
-                if type(item) is dict and len(item) == 2:
-                    try:
-                        key = keys.get(_AUTHOR_PAIR(item))
-                    except (KeyError, TypeError):  # a field missing; a list or object value
-                        pass
-                value[i] = key or _parse(item, nested, (where, name, i), keys)
+            if type(value) is not _MODELS[nested]:
+                obj[name] = _parse(value, nested, (where, name, None), keys)
         else:
+            model = _MODELS[nested]
             for i, item in enumerate(value):
-                value[i] = _parse(item, nested, (where, name, i), keys)
+                if type(item) is not model:
+                    value[i] = _parse(item, nested, (where, name, i), keys)
     return _MODELS[kind](**obj)
+
+
+def _author_hook(keys: dict[tuple[str, str], AuthorKey]):
+    """The `object_hook` that makes each valid author object its `AuthorKey`
+    as the document is decoded, sharing `keys` with `_parse`, and leaves
+    every other object a dict. A two-field object is looked up by its raw
+    pair first; only a miss that has a surname is checked in full."""
+    get = keys.get
+
+    def hook(obj: dict) -> Any:
+        if len(obj) == 2:
+            try:
+                key = get(_AUTHOR_PAIR(obj))
+            except (KeyError, TypeError):  # a field missing; a list or object value
+                key = None
+            if key is not None:
+                return key
+        if "surname" in obj:
+            try:
+                return _parse(obj, "author", None, keys)
+            except FormatError:  # left to the walk, which names the fault by its path
+                pass
+        return obj
+
+    return hook
+
+
+def _decode(document: str, object_hook=None) -> Any:
+    try:
+        return json.loads(document, object_hook=object_hook)
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
+        raise FormatError(f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError("malformed JSON: nested too deeply") from None
 
 
 def parse_dataset(document: str) -> CitationDataset:
@@ -180,13 +212,14 @@ def parse_dataset(document: str) -> CitationDataset:
     objects, such as that every cited id names a publication, belong to
     `validate_dataset`: run it before the reductions.
     """
+    keys: dict[tuple[str, str], AuthorKey] = {}
     try:
-        raw = json.loads(document)
-    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
-        raise FormatError(f"malformed JSON: {exc}") from exc
-    except RecursionError:
-        raise FormatError("malformed JSON: nested too deeply") from None
-    return _parse(raw, "dataset", None, {})
+        return _parse(_decode(document, _author_hook(keys)), "dataset", None, keys)
+    except FormatError:
+        # The decode made a key of any author-shaped object, also one where
+        # no author belongs; read a bad document again as plain objects, so
+        # its fault is named as an object.
+        return _parse(_decode(document), "dataset", None, {})
 
 
 _quote = json.encoder.encode_basestring_ascii  # what json.dumps uses with ensure_ascii

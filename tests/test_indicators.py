@@ -73,6 +73,23 @@ class TestImpactVitality:
         with pytest.raises(ValueError):
             impact_vitality([3, -1, 2])
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([5], "window length must be >= 2, got 1"),
+            ([-1, 1], "citing counts must be non-negative"),
+            ([-1, -1], "citing counts must be non-negative"),  # also no positive total
+            ([0, -1], "citing counts must be non-negative"),
+            ([3, -1, 2], "citing counts must be non-negative"),
+            ([0, 0, 0], "window total must be positive"),
+        ],
+    )
+    def test_messages_in_the_order_of_their_checks(self, counts, message):
+        """Length first, then a negative count, then the total."""
+        with pytest.raises(ValueError) as info:
+            impact_vitality(counts)
+        assert str(info.value) == message
+
 
 class TestIvUpperBound:
     def test_known_values(self):

@@ -528,6 +528,129 @@ def _outcome(document):
         return type(exc), str(exc)
 
 
+# Places where no author belongs, as paths in MINIMAL_DOC (the root is ()),
+# and the message an author-shaped object there gets from the plain walk.
+# The decode makes a key of such an object; the message still names a dict.
+MISPLACED_AUTHORS = [
+    ((), "dataset: unknown field 'surname'"),
+    (("target",), "target: unknown field 'surname'"),
+    (("publications", 0), "publications[0]: unknown field 'surname'"),
+    (("citing_records", 0), "citing_records[0]: unknown field 'surname'"),
+    (("publications", 0, "year"), "publications[0]: 'year' must be int, got dict"),
+    (("citing_records", 0, "year"), "citing_records[0]: 'year' must be int, got dict"),
+    (("publications", 0, "label"), "publications[0]: 'label' must be str, got dict"),
+    (("citing_records", 0, "cited_target_pub_ids", 0),
+     "citing_records[0]: 'cited_target_pub_ids' must hold only str"),
+]
+
+
+@pytest.mark.parametrize("author", [{"surname": "x", "initials": "y"}, {"surname": "x"}])
+@pytest.mark.parametrize("path, message", MISPLACED_AUTHORS)
+def test_an_author_where_none_belongs_is_named_as_an_object(path, message, author):
+    document = json.dumps(author) if path == () else _changed(MINIMAL_DOC, {path: author})
+    with pytest.raises(FormatError) as info:
+        parse_dataset(document)
+    assert str(info.value) == message
+
+
+class _CountingJson:
+    """Stands in for the `json` module inside `io`, counting `loads` calls."""
+
+    def __init__(self):
+        self.loads_calls = 0
+
+    def loads(self, *args, **kwargs):
+        self.loads_calls += 1
+        return json.loads(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+
+def test_a_valid_document_is_decoded_once_under_a_rebound_author_key(monkeypatch):
+    """A benchmark tracer rebinds `io.AuthorKey` to a counting function and
+    `io.json` to a proxy; a valid document is still decoded once, and each
+    raw name still gives one key, shared by the target and the records."""
+    name, lee = {"surname": "Núñez", "initials": "M."}, {"surname": "Lee"}
+    doc = json.loads(MINIMAL_DOC)
+    doc["target"] = {"key": name, "name_variants": [lee, name]}
+    record = doc["citing_records"][0]
+    doc["citing_records"] = [dict(record, id=f"c{i}", authors=authors)
+                             for i, authors in enumerate([[name], [lee, name], [], [name]])]
+    document = json.dumps(doc)
+    expected = parse_dataset(document)
+
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return AuthorKey(*args)
+
+    proxy = _CountingJson()
+    monkeypatch.setattr(iv_io, "AuthorKey", counting)
+    monkeypatch.setattr(iv_io, "json", proxy)
+    ds = parse_dataset(document)
+    assert proxy.loads_calls == 1
+    assert ds == expected
+    assert sorted(made) == [("Lee", ""), ("Núñez", "M.")]
+    key = ds.target.key
+    shared = [k for k in ds.target.name_variants if k == key]
+    shared += [k for r in ds.citing_records for k in r.authors if k == key]
+    assert len(shared) == 4
+    assert all(k is key for k in shared)
+
+
+def _paths(value, path=()):
+    """Every path in the decoded JSON `value`, the root's () included."""
+    yield path
+    if type(value) is dict:
+        for name, item in value.items():
+            yield from _paths(item, (*path, name))
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            yield from _paths(item, (*path, i))
+
+
+def _plain_outcome(document):
+    """What the walk gives on the document decoded to plain objects: the
+    dataset, or the type and text of its error."""
+    try:
+        return iv_io._parse(json.loads(document), "dataset", None, {})
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_INJECTED = st.sampled_from([
+    {"surname": "x", "initials": "y"}, {"surname": "x"}, {"surname": ""},
+    {"surname": "x", "initials": 5}, 5, "s", None, True, [], {},
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets, st.data())
+def test_parse_gives_what_the_plain_walk_gives(ds, data):
+    """With an author-shaped object or a type defect at a random path, or
+    none, `parse_dataset` gives the plain walk's dataset or its error."""
+    raw = json.loads(emit_dataset(ds))
+    if data.draw(st.booleans()):
+        path = data.draw(st.sampled_from(list(_paths(raw))))
+        # a raw name the document already holds is a memo hit in the decode
+        value = data.draw(_INJECTED | st.just(dict(raw["target"]["key"])))
+        if path == ():
+            raw = value
+        else:
+            parent = raw
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = value
+    document = json.dumps(raw)
+    try:
+        outcome = parse_dataset(document)
+    except Exception as exc:
+        outcome = type(exc), str(exc)
+    assert outcome == _plain_outcome(document)
+
+
 def _bench(module):
     """A module of the benchmark, bench/<module>.py. Neither the input
     generator nor the oracles import the package."""
