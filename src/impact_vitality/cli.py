@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -283,10 +285,22 @@ def cmd_indicators(args) -> int:
     return 0
 
 
+def _is_special(path: str) -> bool:
+    """Whether `path` names something other than a regular file, such as a
+    FIFO or a device, whose read may wait or run on without end. A path that
+    cannot be stat'ed is left to `_read`, which names the cause."""
+    try:
+        return not stat.S_ISREG(os.stat(path).st_mode)
+    except (OSError, ValueError):
+        return False
+
+
 def _load_candidate(entry: dict, base: Path) -> CandidateProfile:
     path = str(base / entry["path"])
     call_year, start = entry["call_year"], entry["career_start_year"]
     with _about(path):
+        if _is_special(path):
+            raise ValueError("not a regular file")
         text = _read(path)
         counts, ds = _load(text, text.lstrip().startswith("{"))
         if start is None and ds is not None:
@@ -325,10 +339,8 @@ def _stat_json(value):
 def cmd_cohort(args) -> int:
     with _about(args.manifest):
         entries = ivio.parse_manifest(_read(args.manifest))
-        if not entries:
-            raise ValueError("no candidates listed")
         base = Path(args.manifest).parent
-        summary = cohort_summary([_load_candidate(e, base) for e in entries])
+        summary = cohort_summary(_load_candidate(e, base) for e in entries)
     rows = _cohort_rows(cohort.CALL_SPAN)
 
     if args.format == "json":

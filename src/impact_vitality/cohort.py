@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Optional
+from typing import Iterable, Optional
 
 from .indicators import IVProfile
 from .model import YearlyCitingCounts
@@ -78,7 +78,9 @@ def profile_fluctuation(p: IVProfile, call_year: int) -> Optional[float]:
     return max(in_span) - min(in_span)
 
 
-def _range_stat(values: list[float]) -> Optional[RangeStat]:
+def _range_stat(values: Iterable[Optional[float]]) -> Optional[RangeStat]:
+    """Min, max and mean of the values that are not None, else None."""
+    values = [v for v in values if v is not None]
     if not values:
         return None
     low, high = min(values), max(values)
@@ -92,48 +94,47 @@ def _mean_citing(counts: YearlyCitingCounts, first_year: int, last_year: int) ->
     return fmean([get(y, 0) for y in range(first_year, last_year + 1)])
 
 
-def _group_stats(group: list[CandidateProfile]) -> CohortStats:
-    if not group:
+def _row(c: CandidateProfile) -> tuple:
+    """Minimum, fluctuation, 5-year and since-start citing means; None if undefined."""
+    if not c.profile.points:
+        raise ValueError(f"candidate {c.candidate_id!r} has an empty profile")
+    call, counts, start = c.call_year, c.yearly_counts, c.career_start_year
+    return (
+        profile_min(c.profile),
+        profile_fluctuation(c.profile, call),
+        _mean_citing(counts, call - CALL_SPAN + 1, call),
+        None if start is None else _mean_citing(counts, start, call),
+    )
+
+
+def _group_stats(rows: list[tuple]) -> CohortStats:
+    if not rows:
         return CohortStats(0, None, None, None, None, None)
-    minima = [profile_min(c.profile) for c in group]
-    fluctuations = [
-        f
-        for c in group
-        if (f := profile_fluctuation(c.profile, c.call_year)) is not None
-    ]
-    last5 = [
-        _mean_citing(c.yearly_counts, c.call_year - CALL_SPAN + 1, c.call_year)
-        for c in group
-    ]
-    since_start = [
-        _mean_citing(c.yearly_counts, c.career_start_year, c.call_year)
-        for c in group
-        if c.career_start_year is not None
-    ]
+    minima, fluctuations, last5, since_start = zip(*rows)
     return CohortStats(
-        group_size=len(group),
+        group_size=len(rows),
         min_iv_range=_range_stat(minima),
-        share_all_above_one=sum(m > 1.0 for m in minima) / len(group),  # all > 1 iff min > 1
+        share_all_above_one=sum(m > 1.0 for m in minima) / len(rows),  # all > 1 iff min > 1
         fluctuation_range=_range_stat(fluctuations),
         citing_per_year_last5=_range_stat(last5),
         citing_per_year_since_start=_range_stat(since_start),
     )
 
 
-def cohort_summary(candidates: list[CandidateProfile]) -> dict[str, CohortStats]:
+def cohort_summary(candidates: Iterable[CandidateProfile]) -> dict[str, CohortStats]:
     """Group summaries for selected vs not-selected candidates.
+
+    Reduces each candidate of any iterable to a row as it arrives, so an
+    error names the first candidate, in iteration order, that fails.
 
     Candidates whose fluctuation is undefined are excluded from the
     fluctuation aggregate but contribute to every other statistic; the
     since-start citing average covers only candidates with a known career
     start year.
     """
-    if not candidates:
-        raise ValueError("candidate set is empty")
+    selected, not_selected = [], []
     for c in candidates:
-        if not c.profile.points:
-            raise ValueError(f"candidate {c.candidate_id!r} has an empty profile")
-    return {
-        "selected": _group_stats([c for c in candidates if c.selected]),
-        "not_selected": _group_stats([c for c in candidates if not c.selected]),
-    }
+        (selected if c.selected else not_selected).append(_row(c))
+    if not selected and not not_selected:
+        raise ValueError("candidate set is empty")
+    return {"selected": _group_stats(selected), "not_selected": _group_stats(not_selected)}

@@ -100,7 +100,7 @@ class IVPoint:
 
     def __init__(self, observation_year: int, window_length: int, value: float,
                  total_citing: int, zero_year_flag: bool):
-        # Written out, as a cohort holds every candidate's points at once: a
+        # Written out, as a cohort builds a point per candidate per year: a
         # generated `__init__` looks up `object.__setattr__` once per field.
         # The signature must list the fields in order, without defaults.
         set_field = object.__setattr__

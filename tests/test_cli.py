@@ -435,6 +435,30 @@ class TestCohort:
         assert main(["cohort", str(tmp_path / "m.csv")]) == 1
         assert "dup.json: duplicate publication id 'pA'" in capsys.readouterr().err
 
+    def test_header_only_manifest_is_an_empty_set(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("candidate_id,selected,call_year,career_start_year,path\n")
+        assert main(["cohort", str(manifest)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"impact-vitality: error: {manifest}: candidate set is empty\n"
+
+    def test_errors_come_in_manifest_order(self, tmp_path, capsys):
+        """The first candidate has no IV point and the second file is
+        malformed: the run names the first candidate."""
+        (tmp_path / "zero.csv").write_text(
+            "year,count\n" + "".join(f"{y},0\n" for y in range(2000, 2006))
+        )
+        (tmp_path / "bad.csv").write_text("year,count\n2000,x\n")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "candidate_id,selected,call_year,career_start_year,path\n"
+            "z,true,2005,,zero.csv\nb,false,2005,,bad.csv\n"
+        )
+        assert main(["cohort", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"impact-vitality: error: {manifest}: candidate 'z' has an empty profile\n"
+
     def test_bad_manifest(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n")
@@ -742,6 +766,17 @@ def _dataset_with_record_years(path, years):
     path.write_text(emit_dataset(ds))
 
 
+def _run_cli(argv, cwd):
+    """The CLI in a subprocess, with a timeout, so that a run that hangs
+    fails the test instead of stalling the test run."""
+    src = str(Path(impact_vitality.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "impact_vitality.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=10,
+    )
+
+
 @pytest.mark.parametrize(
     "case, code, culprit",
     [
@@ -767,15 +802,24 @@ def test_huge_year_spans_stop_early(case, code, culprit, tmp_path):
         "record_years": ["profile", "d.json"],
         "moving_window": ["profile", "--counts", "ok.csv", "--window", "moving:100000000"],
     }[case]
-    src = str(Path(impact_vitality.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "impact_vitality.cli", *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
-    )
+    done = _run_cli(argv, tmp_path)
     assert done.returncode == code
     assert culprit in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_in_a_manifest_is_refused(tmp_path):
+    """Reading a FIFO that nothing writes to waits forever, so a manifest
+    path must name a regular file."""
+    os.mkfifo(tmp_path / "pipe")
+    (tmp_path / "m.csv").write_text(
+        "candidate_id,selected,call_year,career_start_year,path\nx,true,2005,,pipe\n"
+    )
+    done = _run_cli(["cohort", "m.csv"], tmp_path)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "impact-vitality: error: pipe: not a regular file\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import pytest
 
@@ -169,6 +170,24 @@ class TestCohortSummary:
     def test_rejects_empty_cohort(self):
         with pytest.raises(ValueError):
             cohort_summary([])
+
+    def test_reduces_each_candidate_as_it_arrives(self):
+        """When candidate i is asked for, candidate i - 2's profile is gone;
+        the summary's loop may still hold candidate i - 1."""
+        refs = []
+
+        def stream():
+            for i in range(6):
+                assert all(ref() is None for ref in refs[:-1]), f"a profile before {i - 1} is alive"
+                c = candidate(f"c{i}", i % 2 == 0, [1.1 + i / 10] * 5, start=1998)
+                refs.append(weakref.ref(c.profile))
+                yield c
+
+        streamed = cohort_summary(stream())
+        assert streamed == cohort_summary(
+            [candidate(f"c{i}", i % 2 == 0, [1.1 + i / 10] * 5, start=1998) for i in range(6)]
+        )
+        assert streamed["selected"].group_size == streamed["not_selected"].group_size == 3
 
     def test_rejects_points_after_call(self):
         with pytest.raises(ValueError):
