@@ -13,7 +13,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,6 +46,11 @@ PROG = "impact-vitality"
 # literal: a diagnostic stays one line where it quotes a name holding one.
 _LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
 
+# No input file may hold more bytes than this, far above any real one: a
+# read of a pipe or an endless device stops here instead of at memory's end.
+READ_CAP = 256 * 2**20
+_FIRST_READ = 64 * 2**10
+
 
 def _cohort_rows(span: int) -> tuple:
     """Cohort statistics in output order: (text label, JSON key, CohortStats
@@ -75,14 +80,23 @@ class DataError(ValueError):
 
 def _read(path: str) -> str:
     """The text of `path` as text mode reads it: a leading BOM is dropped
-    and "\r\n" and a lone "\r" end a line as "\n" does."""
+    and "\r\n" and a lone "\r" end a line as "\n" does. A file, pipe or
+    device that holds more than READ_CAP bytes is refused once READ_CAP + 1
+    bytes have been read."""
+    first = min(_FIRST_READ, READ_CAP + 1)
     try:
         with open(path, "rb") as file:  # Path(path).read_bytes() costs more per file
-            data = file.read()
+            # One small read takes a whole candidate file; only a full one
+            # asks for the rest, so no read allocates the cap per file.
+            data = file.read(first)
+            if len(data) == first:
+                data += file.read(READ_CAP + 1 - first)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # a path the OS cannot take, e.g. with a NUL byte
         raise DataError(f"cannot read {path!r}: {exc}") from None
+    if len(data) > READ_CAP:
+        raise DataError(f"{path}: larger than {READ_CAP} bytes")
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError:
@@ -142,10 +156,10 @@ def parse_window_arg(arg: str) -> WindowSpec:
     )
 
 
-def parse_filter_args(args: Sequence[str]) -> tuple[bool, Optional[str]]:
-    """(exclude_self_citations, exclude_citing_only) from the `--filter`
-    values, checked before any file is read. The second may be
-    "most-cited", which only the dataset can resolve."""
+def parse_filter_args(args: Sequence[str]) -> FilterSet:
+    """The FilterSet of the `--filter` values, checked before any file is
+    read. Its `exclude_citing_only` may be "most-cited", which only the
+    dataset can resolve."""
     exclude_self = False
     citing_only: Optional[str] = None
     for arg in args:
@@ -162,32 +176,29 @@ def parse_filter_args(args: Sequence[str]) -> tuple[bool, Optional[str]]:
             raise UsageError(
                 f"unknown --filter {arg!r}: expected self-citations or cites-only:<pubid|most-cited>"
             )
-    return exclude_self, citing_only
+    return FilterSet(exclude_self_citations=exclude_self, exclude_citing_only=citing_only)
 
 
-def _load(text: str, dataset: bool, last: Optional[int] = None,
-          filters: tuple[bool, Optional[str]] = (False, None)):
+def _load(text: str, dataset: bool, last: Optional[int] = None, fs: FilterSet = FilterSet()):
     """(counts, dataset) from the text of a dataset, or of a counts file with
     dataset None. Only a dataset's records dated `last` or earlier count and
-    choose most-cited. `filters` is what `parse_filter_args` returns. Every
-    error is a data error, empty input included."""
+    choose most-cited. `fs` is what `parse_filter_args` returns. Every error
+    is a data error, empty input included."""
     if not dataset:
         counts, ds = ivio.parse_counts(text), None
     else:
         ds = ivio.parse_dataset(text)
-        findings = validate_dataset(ds)
-        if has_errors(findings):
-            raise ValueError(next(f for f in findings if f.severity is Severity.ERROR).message)
+        for finding in validate_dataset(ds):
+            if finding.severity is Severity.ERROR:
+                raise ValueError(finding.message)
         if not ds.citing_records:
             raise ValueError("dataset has no citing records")
         if last is not None:
             ds = replace(ds, citing_records=[r for r in ds.citing_records if r.year <= last])
             if not ds.citing_records:
                 raise ValueError(f"no citing records dated {last} or earlier")
-        exclude_self, citing_only = filters
-        if citing_only == "most-cited":
-            citing_only = most_cited_publication(ds)
-        fs = FilterSet(exclude_self_citations=exclude_self, exclude_citing_only=citing_only)
+        if fs.exclude_citing_only == "most-cited":
+            fs = replace(fs, exclude_citing_only=most_cited_publication(ds))
         counts = yearly_citing_counts(ds, fs)
     if not counts.counts:
         raise ValueError("no citing publications to profile")
@@ -217,11 +228,11 @@ def cmd_profile(args) -> int:
     if first is not None and last is not None and first > last:
         raise UsageError(f"empty observation range [{first}, {last}]")
     spec = parse_window_arg(args.window) if args.window else None
-    filters = parse_filter_args(args.filter or ())
+    fs = parse_filter_args(args.filter or ())
 
     path = args.counts or args.dataset
     with _about(path):
-        counts, ds = _load(_read(path), bool(args.dataset), last, filters)
+        counts, ds = _load(_read(path), bool(args.dataset), last, fs)
         if spec is None:
             spec = _growing_window(counts, ds)
         if first is None:
@@ -252,36 +263,29 @@ def cmd_indicators(args) -> int:
         profile = iv_profile(counts, _growing_window(counts, ds), year, year)
     latest = profile.points[-1] if profile.points else None
 
-    out = {
-        "observation_year": year,
-        "h_index": h,
-        "ar_index": round(ar, 4),
-        "impact_vitality": (
-            {
-                "observation_year": latest.observation_year,
-                "window_length": latest.window_length,
-                "value": round(latest.value, 2),
-                "value_raw": latest.value,
-                "total_citing": latest.total_citing,
-                "zero_year_flag": latest.zero_year_flag,
-            }
-            if latest
-            else None
-        ),
-    }
     if args.format == "json":
+        iv = None if latest is None else {
+            "observation_year": latest.observation_year,
+            "window_length": latest.window_length,
+            "value": round(latest.value, 2),
+            "value_raw": latest.value,
+            "total_citing": latest.total_citing,
+            "zero_year_flag": latest.zero_year_flag,
+        }
+        out = {"observation_year": year, "h_index": h, "ar_index": round(ar, 4),
+               "impact_vitality": iv}
         print(json.dumps(out, indent=2))
+        return 0
+    print(f"observation_year: {year}")
+    print(f"h_index: {h}")
+    print(f"ar_index: {ar:.4f}")
+    if latest:
+        print(
+            f"impact_vitality({latest.observation_year}, n={latest.window_length}): "
+            f"{latest.value:.2f}"
+        )
     else:
-        print(f"observation_year: {year}")
-        print(f"h_index: {h}")
-        print(f"ar_index: {ar:.4f}")
-        if latest:
-            print(
-                f"impact_vitality({latest.observation_year}, n={latest.window_length}): "
-                f"{latest.value:.2f}"
-            )
-        else:
-            print("impact_vitality: undefined (no admissible window)")
+        print("impact_vitality: undefined (no admissible window)")
     return 0
 
 
@@ -330,12 +334,6 @@ def _stat_cell(value, decimals: int) -> str:
     return str(value)
 
 
-def _stat_json(value):
-    if isinstance(value, RangeStat):
-        return {"min": value.min, "max": value.max, "mean": value.mean}
-    return value
-
-
 def cmd_cohort(args) -> int:
     with _about(args.manifest):
         entries = ivio.parse_manifest(_read(args.manifest))
@@ -344,10 +342,10 @@ def cmd_cohort(args) -> int:
     rows = _cohort_rows(cohort.CALL_SPAN)
 
     if args.format == "json":
-        doc = {
-            group: {key: _stat_json(getattr(stats, field)) for _, key, field, _ in rows}
-            for group, stats in summary.items()
-        }
+        doc = {}
+        for group, stats in summary.items():
+            fields = asdict(stats)
+            doc[group] = {key: fields[field] for _, key, field, _ in rows}
         print(json.dumps(doc, indent=2))
         return 0
 

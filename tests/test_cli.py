@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -193,9 +194,9 @@ class TestProfile:
 
     def test_every_filter_clause_has_a_filter_form(self):
         # A FilterSet field that no --filter form sets would be library-only.
-        clauses = parse_filter_args(["self-citations", "cites-only:pA"])
-        assert len(clauses) == len(dataclasses.fields(FilterSet))
-        fs = FilterSet(*clauses)
+        assert parse_filter_args([]) == FilterSet()
+        fs = parse_filter_args(["self-citations", "cites-only:pA"])
+        assert isinstance(fs, FilterSet)
         for field in dataclasses.fields(FilterSet):
             assert getattr(fs, field.name) != getattr(FilterSet(), field.name), field.name
 
@@ -820,6 +821,58 @@ def test_a_fifo_in_a_manifest_is_refused(tmp_path):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == "impact-vitality: error: pipe: not a regular file\n"
+
+
+# A cap below, at and above the size of `_read`'s first read.
+read_caps = pytest.mark.parametrize("cap", [10, 2**16, 2**16 + 100])
+
+
+@read_caps
+def test_a_file_of_exactly_the_cap_reads(cap, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "READ_CAP", cap)
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"a" * cap)
+    assert cli._read(str(path)) == "a" * cap
+
+
+@read_caps
+def test_a_file_over_the_cap_is_named(cap, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "READ_CAP", cap)
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"a" * (cap + 1))
+    assert main(["profile", "--counts", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"impact-vitality: error: {path}: larger than {cap} bytes\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_pipe_is_read_only_up_to_the_cap(tmp_path, monkeypatch, capsys):
+    """A writer that offers far more than the cap finds the pipe closed
+    once the reader has taken READ_CAP + 1 bytes."""
+    cap, offered = 1000, 16 * 2**20
+    monkeypatch.setattr(cli, "READ_CAP", cap)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    sent = []
+
+    def write():
+        total = 0
+        try:
+            with open(fifo, "wb", buffering=0) as pipe:
+                while total < offered:
+                    total += pipe.write(b"a" * 4096)
+        except BrokenPipeError:
+            pass
+        sent.append(total)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    assert main(["profile", "--counts", str(fifo)]) == 1
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert capsys.readouterr().err == f"impact-vitality: error: {fifo}: larger than {cap} bytes\n"
+    assert cap < sent[0] < offered
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,10 @@ statistics.
 import contextlib
 import io
 import json
+import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impact_vitality import YearlyCitingCounts, emit_counts, emit_dataset
@@ -45,7 +46,7 @@ counts = mostly(
 )
 paths = mostly(
     st.sampled_from(["counts.csv", "ok.csv", "dataset.json"]),
-    st.one_of(st.sampled_from(["manifest.csv", "sub", "missing.csv"]), junk),
+    st.one_of(st.sampled_from(["manifest.csv", "sub", "pipe", "missing.csv"]), junk),
 )
 manifest_rows = st.tuples(
     st.sampled_from(["a", "b", "c", "a "]),
@@ -138,6 +139,10 @@ def workdir(tmp_path_factory):
         f"{MANIFEST_HEADER}\na,true,2007,,ok.csv\nb,false,2007,1998,dataset.json\n"
     )
     (root / "sub").mkdir()
+    # A FIFO that nothing writes to, for manifest lines only: one named on
+    # the command line is read and waits, by design.
+    if hasattr(os, "mkfifo"):  # else "pipe" is a missing file
+        os.mkfifo(root / "pipe")
     return root
 
 
@@ -157,6 +162,7 @@ def _check(argv):
 
 @settings(max_examples=200, deadline=None)
 @given(counts_files, manifest_files)
+@example(b"", f"{MANIFEST_HEADER}\na,true,2007,,ok.csv\nb,false,2007,,pipe\n".encode())
 def test_main_never_raises_on_csv_inputs(workdir, counts_bytes, manifest_bytes):
     (workdir / "counts.csv").write_bytes(counts_bytes)
     (workdir / "manifest.csv").write_bytes(manifest_bytes)
