@@ -1,7 +1,8 @@
 """Command-line surface: validate, profile, indicators, cohort.
 
 Exit statuses: 0 success, 2 when the arguments are wrong on their own, 1
-for any other error. Diagnostics go to stderr, data to stdout.
+for any other error. Diagnostics go to stderr. Each command returns its
+status and its text, which `main` alone writes to stdout, in one write.
 """
 
 from __future__ import annotations
@@ -205,20 +206,21 @@ def _load(text: str, dataset: bool, last: Optional[int] = None, fs: FilterSet = 
     return counts, ds
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, str]:
     with _about(args.dataset):
         findings = validate_dataset(ivio.parse_dataset(_read(args.dataset)))
-    for f in findings:
-        print(f"{f.severity.value}: {f.message}")
-    return 1 if has_errors(findings) else 0
+    text = "".join(f"{f.severity.value}: {f.message}\n" for f in findings)
+    return (1 if has_errors(findings) else 0), text
 
 
-def cmd_profile(args) -> int:
-    if args.counts and args.dataset:
+def cmd_profile(args) -> tuple[int, str]:
+    # An argument given as "" is given: each test is against None.
+    from_counts = args.counts is not None
+    if from_counts and args.dataset is not None:
         raise UsageError("give either a dataset or --counts, not both")
-    if not args.counts and not args.dataset:
+    if not from_counts and args.dataset is None:
         raise UsageError("a dataset file or --counts is required")
-    if args.counts and args.filter:
+    if from_counts and args.filter:
         raise UsageError(
             "--filter needs record-level data; a bare counts file has none "
             "(use a dataset file instead)"
@@ -227,12 +229,12 @@ def cmd_profile(args) -> int:
     last = _year_arg("--to", args.to_year)
     if first is not None and last is not None and first > last:
         raise UsageError(f"empty observation range [{first}, {last}]")
-    spec = parse_window_arg(args.window) if args.window else None
+    spec = parse_window_arg(args.window) if args.window is not None else None
     fs = parse_filter_args(args.filter or ())
 
-    path = args.counts or args.dataset
+    path = args.counts if from_counts else args.dataset
     with _about(path):
-        counts, ds = _load(_read(path), bool(args.dataset), last, fs)
+        counts, ds = _load(_read(path), not from_counts, last, fs)
         if spec is None:
             spec = _growing_window(counts, ds)
         if first is None:
@@ -242,11 +244,10 @@ def cmd_profile(args) -> int:
         if last is None:
             last = counts.max_year()
         profile = iv_profile(counts, spec, first, last)
-    sys.stdout.write(ivio.emit_report(profile, args.format))
-    return 0
+    return 0, ivio.emit_report(profile, args.format)
 
 
-def cmd_indicators(args) -> int:
+def cmd_indicators(args) -> tuple[int, str]:
     year = _year_arg("--year", args.year)
     with _about(args.dataset):
         # As of `year`: only the records dated by then count, and only the
@@ -274,19 +275,14 @@ def cmd_indicators(args) -> int:
         }
         out = {"observation_year": year, "h_index": h, "ar_index": round(ar, 4),
                "impact_vitality": iv}
-        print(json.dumps(out, indent=2))
-        return 0
-    print(f"observation_year: {year}")
-    print(f"h_index: {h}")
-    print(f"ar_index: {ar:.4f}")
+        return 0, json.dumps(out, indent=2) + "\n"
+    lines = [f"observation_year: {year}", f"h_index: {h}", f"ar_index: {ar:.4f}"]
     if latest:
-        print(
-            f"impact_vitality({latest.observation_year}, n={latest.window_length}): "
-            f"{latest.value:.2f}"
-        )
+        lines.append(f"impact_vitality({latest.observation_year}, n={latest.window_length}): "
+                     f"{latest.value:.2f}")
     else:
-        print("impact_vitality: undefined (no admissible window)")
-    return 0
+        lines.append("impact_vitality: undefined (no admissible window)")
+    return 0, "\n".join(lines) + "\n"
 
 
 def _is_special(path: str) -> bool:
@@ -334,7 +330,7 @@ def _stat_cell(value, decimals: int) -> str:
     return str(value)
 
 
-def cmd_cohort(args) -> int:
+def cmd_cohort(args) -> tuple[int, str]:
     with _about(args.manifest):
         entries = ivio.parse_manifest(_read(args.manifest))
         base = Path(args.manifest).parent
@@ -346,24 +342,31 @@ def cmd_cohort(args) -> int:
         for group, stats in summary.items():
             fields = asdict(stats)
             doc[group] = {key: fields[field] for _, key, field, _ in rows}
-        print(json.dumps(doc, indent=2))
-        return 0
+        return 0, json.dumps(doc, indent=2) + "\n"
 
     sel, non = summary["selected"], summary["not_selected"]
     width = max(len(label) for label, *_ in rows)
-    print(f"{'':<{width}}  | Selected | Not selected")
+    lines = [f"{'':<{width}}  | Selected | Not selected"]
     for label, _, field, decimals in rows:
         cells = [_stat_cell(getattr(stats, field), decimals) for stats in (sel, non)]
-        print(f"{label:<{width}}  | {cells[0]} | {cells[1]}")
-    return 0
+        lines.append(f"{label:<{width}}  | {cells[0]} | {cells[1]}")
+    return 0, "\n".join(lines) + "\n"
+
+
+class _Help(Exception):
+    """--help was given; the argument is the help text."""
 
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose own failures are usage errors like any other,
-    so that they print one line in the same format."""
+    so that they print one line in the same format, and whose help text goes
+    to stdout through `main`'s one write, as a command's text does."""
 
     def error(self, message: str):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,19 +416,44 @@ def main(argv: Optional[list[str]] = None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:  # --help, after printing it
-        return exc.code
+        status, text = args.func(args)
+    except _Help as exc:
+        status, text = 0, exc.args[0]
     except UsageError as exc:
-        print(f"{PROG}: usage error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+        _diagnose(f"usage error: {exc}")
         return 2
     except ValueError as exc:
         # DataError, FormatError and the preconditions of library code
-        print(f"{PROG}: error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return 1
     finally:
         if gc_was_enabled:
             gc.enable()
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone. Pointing fd 1 at os.devnull keeps the flush at
+        # interpreter exit from failing a second time.
+        _to_devnull(sys.stdout)
+        _diagnose("error: standard output closed")
+        return 1
+    return status
+
+
+def _diagnose(message: str) -> None:
+    """`message` on stderr as one line that starts with the program name.
+    With no reader on stderr the line is lost, but the exit status is not."""
+    try:
+        print(f"{PROG}: {message.translate(_LINE_BREAKS)}", file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
+def _to_devnull(stream) -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

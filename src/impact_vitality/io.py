@@ -418,12 +418,11 @@ def emit_report(profile: IVProfile, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
     if fmt == "csv":
-        out = _io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(key for key, *_ in REPORT_COLUMNS)
+        # No cell holds a comma, a quote or a line break, so none is quoted.
+        lines = [",".join(key for key, *_ in REPORT_COLUMNS)]
         for row in rows:
-            writer.writerow(cell(row[key]) for key, _, _, cell, _ in REPORT_COLUMNS)
-        return out.getvalue()
+            lines.append(",".join(cell(row[key]) for key, _, _, cell, _ in REPORT_COLUMNS))
+        return "\n".join(lines) + "\n"
     if fmt == "table":
         header = "  ".join(f"{heading:>{width}}" for _, heading, width, _, _ in REPORT_COLUMNS)
         lines = [header, "-" * len(header)]

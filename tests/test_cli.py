@@ -157,6 +157,26 @@ class TestProfile:
     def test_requires_some_input(self, capsys):
         assert main(["profile"]) == 2
 
+    @pytest.mark.parametrize("argv, code, line", [
+        (["d.json", "--counts", ""], 2, "usage error: give either a dataset or --counts, not both"),
+        (["", "--counts", "c.csv"], 2, "usage error: give either a dataset or --counts, not both"),
+        (["--counts", ""], 1, "error: cannot read : No such file or directory"),
+        (["--counts", "", "--filter", "self-citations"], 2,
+         "usage error: --filter needs record-level data; a bare counts file has none "
+         "(use a dataset file instead)"),
+        (["--counts", "c.csv", "--window", ""], 2,
+         "usage error: invalid --window '': expected moving:<n> or fixed:<start>[:<minlen>]"),
+    ], ids=["dataset_and_empty_counts", "empty_dataset_and_counts", "empty_counts",
+            "empty_counts_with_filter", "empty_window"])
+    def test_an_empty_argument_is_given(self, argv, code, line, table5_csv, dataset_file, capsys):
+        """"" names no file and no window, but it is given: it is neither
+        left out nor replaced by the other input or the default."""
+        named = {"d.json": dataset_file, "c.csv": table5_csv}
+        assert main(["profile", *(named.get(arg, arg) for arg in argv)]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"impact-vitality: {line}\n"
+
     def test_bad_window_syntax(self, table5_csv, capsys):
         assert main(["profile", "--counts", table5_csv, "--window", "sliding:5"]) == 2
 
@@ -465,6 +485,27 @@ class TestCohort:
         bad.write_text("wrong,header\n")
         assert main(["cohort", str(bad)]) == 1
 
+    @pytest.mark.parametrize("name, message", [
+        ("sub", "{path}: not a regular file"),
+        ("missing.csv", "cannot read {path}: No such file or directory"),
+        ("", "{path}: not a regular file"),
+        ("manifest.csv", "{path}: counts file: expected header 'year,count', "
+                         "got 'candidate_id,selected,call_year,career_start_year,path'"),
+    ], ids=["directory", "missing", "manifest_directory", "manifest_itself"])
+    def test_a_bad_candidate_path_is_named(self, name, message, tmp_path, capsys):
+        """The first row names a directory, a missing file, "" (the
+        manifest's own directory) or the manifest itself; the second row is
+        good. The run names the path in one line and writes no table."""
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "ok.csv").write_text("year,count\n2000,3\n2001,4\n2002,5\n2003,6\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("candidate_id,selected,call_year,career_start_year,path\n"
+                            f"a,true,2005,,{name}\nb,false,2005,,ok.csv\n")
+        assert main(["cohort", str(manifest)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"impact-vitality: error: {message.format(path=tmp_path / name)}\n"
+
 
 # How a copy of a file is made from its "\n"-ended UTF-8 bytes.
 COPIES = {
@@ -767,15 +808,79 @@ def _dataset_with_record_years(path, years):
     path.write_text(emit_dataset(ds))
 
 
-def _run_cli(argv, cwd):
+def _run_cli(argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """The CLI in a subprocess, with a timeout, so that a run that hangs
     fails the test instead of stalling the test run."""
     src = str(Path(impact_vitality.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "impact_vitality.cli", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=10,
+        cwd=cwd, env=env, stdout=stdout, stderr=stderr, text=True, timeout=10,
     )
+
+
+@pytest.fixture
+def closed_pipe():
+    """The write end of a pipe whose reader has gone."""
+    read, write = os.pipe()
+    os.close(read)
+    yield write
+    os.close(write)
+
+
+def _write_cli_inputs(d: Path) -> None:
+    """c.csv, d.json, a manifest m.csv over both, and bad.json, whose one
+    record cites an unknown publication."""
+    (d / "c.csv").write_text("year,count\n2000,3\n2001,4\n2002,5\n2003,6\n")
+    records = [(f"c{i}", 2001 + i % 4, {"pA"}) for i in range(12)]
+    (d / "d.json").write_text(emit_dataset(make_dataset([("pA", 2000)], records)))
+    (d / "bad.json").write_text(emit_dataset(make_dataset([("pA", 2000)], [("c0", 2001, {"ghost"})])))
+    (d / "m.csv").write_text(
+        "candidate_id,selected,call_year,career_start_year,path\n"
+        "a,true,2004,,c.csv\nb,false,2004,,d.json\n"
+    )
+
+
+CLOSED_STDOUT_ARGVS = {
+    "profile": ["profile", "--counts", "c.csv"],
+    "indicators": ["indicators", "d.json"],
+    "cohort": ["cohort", "m.csv"],
+    "validate_errors": ["validate", "bad.json"],
+    "help": ["--help"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_STDOUT_ARGVS))
+def test_a_closed_stdout_is_one_line(case, closed_pipe, tmp_path):
+    """The reader of stdout has gone before the run starts: the run says so
+    in one line and exits 1, with no traceback from the write and no
+    "Exception ignored" from the flush at exit."""
+    _write_cli_inputs(tmp_path)
+    done = _run_cli(CLOSED_STDOUT_ARGVS[case], tmp_path, stdout=closed_pipe)
+    assert done.returncode == 1
+    assert done.stderr == "impact-vitality: error: standard output closed\n"
+
+
+@pytest.mark.parametrize("extra, code", [([], 1), (["--window", "bogus"], 2), (["--from", "2010"], 1)],
+                         ids=["stdout_closed", "usage_error", "data_error"])
+def test_main_returns_its_status_when_stdout_and_stderr_are_closed(extra, code, table5_csv,
+                                                                   monkeypatch):
+    """With no reader on either stream, `main` returns the status of the
+    message it cannot write rather than raising: 1 for the closed stdout
+    of a run that succeeded, else the status of the run's own error."""
+    pipes = [os.pipe(), os.pipe()]
+    for read, _ in pipes:
+        os.close(read)
+    try:
+        with open(pipes[0][1], "w", closefd=False) as out, \
+                open(pipes[1][1], "w", closefd=False) as err, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", out)
+            patch.setattr(sys, "stderr", err)
+            status = main(["profile", "--counts", table5_csv, *extra])
+    finally:
+        for _, write in pipes:
+            os.close(write)
+    assert status == code
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 lists.
 
 Every input must end in exit 0, 1 or 2; a non-zero exit prints a message
-starting with `impact-vitality:` on stderr (or, from `validate`, ERROR
-findings on stdout), and no exception escapes. The
+starting with `impact-vitality:` on stderr and nothing on stdout (or, from
+`validate`, ERROR findings on stdout), and no exception escapes. The
 generators mostly build near-valid files, so that many runs get past the
 header or the schema and reach the kernel, the filters and the cohort
 statistics.
@@ -158,6 +158,7 @@ def _check(argv):
     assert code in (0, 1, 2)
     if code and not (argv[0] == "validate" and "ERROR: " in out):
         assert err.startswith("impact-vitality:"), err
+        assert out == "", out
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,7 +204,7 @@ filters = mostly(
                      "cites-only:ghost", "cites-only:"]),
     arg_junk,
 )
-file_args = st.sampled_from(["ok.csv", "dataset.json", "cohort.csv", "sub", "missing.json"])
+file_args = st.sampled_from(["ok.csv", "dataset.json", "cohort.csv", "sub", "missing.json", ""])
 options = st.one_of(
     st.tuples(st.just("--format"), st.sampled_from(["table", "csv", "json", "text", "xml"])),
     st.tuples(st.just("--filter"), filters),
@@ -235,9 +236,16 @@ def test_main_never_raises_on_arguments(workdir, parts):
     elif not (command == "validate" and "ERROR: " in out):
         assert err.startswith("impact-vitality:") and err.endswith("\n"), err
         assert len(err.splitlines()) == 1, err
+        assert out == "", out
+    helped = {"-h", "--help"} & set(argv)
+    # "" is given, not absent: as the last --counts or --window it names no
+    # file and no window, so the run fails.
+    last = {chunk[0]: chunk[1] for chunk in chunks if chunk[0] in ("--counts", "--window")}
+    if "" in last.values() and not helped:
+        assert code != 0, argv
     # A bad --filter is a usage error whatever the files hold.
     filter_values = [chunk[1] for chunk in chunks if chunk[0] == "--filter"]
     cites_only = sum(v.startswith("cites-only:") for v in filter_values)
     unknown = len(filter_values) - cites_only - filter_values.count("self-citations")
-    if command == "profile" and not {"-h", "--help"} & set(argv) and (unknown or cites_only > 1):
+    if command == "profile" and not helped and (unknown or cites_only > 1):
         assert code == 2, err

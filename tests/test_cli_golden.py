@@ -94,11 +94,26 @@ def write_fixtures(d: Path) -> None:
     (d / "manifest.csv").write_text("\n".join(rows) + "\n")
 
 
-def run_case(name: str, d: Path) -> tuple[int, str]:
-    out = io.StringIO()
+class CountingStdout(io.StringIO):
+    """A stdout that counts the calls to its `write`."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def run(argv: list[str]) -> tuple[int, str, int]:
+    """(exit status, stdout, number of writes to stdout) of one run."""
+    out = CountingStdout()
     with contextlib.redirect_stdout(out):
-        code = main([arg.format(d=d) for arg in CASES[name]])
-    return code, out.getvalue()
+        code = main(argv)
+    return code, out.getvalue(), out.writes
+
+
+def run_case(name: str, d: Path) -> tuple[int, str, int]:
+    return run([arg.format(d=d) for arg in CASES[name]])
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +125,21 @@ def fixture_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, fixture_dir):
-    code, out = run_case(name, fixture_dir)
+    code, out, writes = run_case(name, fixture_dir)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert writes == 1
+
+
+def test_validate_writes_its_findings_once(tmp_path):
+    """A run that exits 1 for ERROR findings still writes them, all at once."""
+    records = [("c0", 2001, {"ghost"}), ("c1", 2002, {"pA", "phantom"})]
+    path = tmp_path / "bad.json"
+    path.write_text(emit_dataset(make_dataset([("pA", 2000)], records)))
+    assert run(["validate", str(path)]) == (1, (
+        "ERROR: citing record 'c0' references unknown publication 'ghost'\n"
+        "ERROR: citing record 'c1' references unknown publication 'phantom'\n"
+    ), 1)
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +152,9 @@ def table5_json(tmp_path_factory):
 
 
 def _profile_csv(*argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["profile", *argv, "--format", "csv"]) == 0
-    return out.getvalue()
+    code, out, _ = run(["profile", *argv, "--format", "csv"])
+    assert code == 0
+    return out
 
 
 @pytest.mark.parametrize("filters, column", [
@@ -181,7 +207,7 @@ def test_stdout_does_not_depend_on_sum(name, fixture_dir, monkeypatch):
     monkeypatch.setattr(indicators, "sum", compensated_sum, raising=False)
     indicators.harmonic.cache_clear()
     try:
-        code, out = run_case(name, fixture_dir)
+        code, out, _ = run_case(name, fixture_dir)
     finally:
         indicators.harmonic.cache_clear()
     assert code == 0
@@ -192,7 +218,7 @@ def test_stdout_does_not_depend_on_sum(name, fixture_dir, monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_does_not_depend_on_the_year_bound(name, year_max, fixture_dir, monkeypatch):
     monkeypatch.setattr(model, "YEAR_MAX", year_max)
-    code, out = run_case(name, fixture_dir)
+    code, out, _ = run_case(name, fixture_dir)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
@@ -295,7 +321,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         write_fixtures(Path(tmp))
         for name in sorted(CASES):
-            code, out = run_case(name, Path(tmp))
+            code, out, _ = run_case(name, Path(tmp))
             if code != 0:
                 sys.exit(f"{name}: exit status {code}")
             (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")
