@@ -201,7 +201,7 @@ def _load(text: str, dataset: bool, last: Optional[int] = None, fs: FilterSet = 
         if fs.exclude_citing_only == "most-cited":
             fs = replace(fs, exclude_citing_only=most_cited_publication(ds))
         counts = yearly_citing_counts(ds, fs)
-    if not counts.counts:
+    if not any(counts.counts.values()):
         raise ValueError("no citing publications to profile")
     return counts, ds
 
@@ -239,8 +239,6 @@ def cmd_profile(args) -> tuple[int, str]:
             spec = _growing_window(counts, ds)
         if first is None:
             first = counts.min_year()
-            if isinstance(spec, FixedStart):
-                first = min(first, spec.start_year)
         if last is None:
             last = counts.max_year()
         profile = iv_profile(counts, spec, first, last)

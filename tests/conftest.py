@@ -1,4 +1,9 @@
-"""Shared fixtures: published example data and dataset builders."""
+"""Shared fixtures: published example data, dataset builders and an
+in-process CLI runner."""
+
+import contextlib
+import io
+from typing import NamedTuple
 
 import pytest
 
@@ -9,6 +14,7 @@ from impact_vitality import (
     Publication,
     TargetAuthor,
 )
+from impact_vitality.cli import main
 
 # Published 20-year citing-count columns for one real author (PhD 1988),
 # under three filter regimes, with the printed 2-decimal IV values for the
@@ -131,3 +137,27 @@ def make_dataset(publications, citing_records, target=None):
         publications=tuple(pubs),
         citing_records=tuple(recs),
     )
+
+
+class CliRun(NamedTuple):
+    status: int
+    out: str
+    err: str
+    writes: int  # calls to stdout's `write`
+
+
+class _CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def run_main(argv) -> CliRun:
+    """The exit status, stdout, stderr and number of stdout writes of one
+    in-process run of `main(argv)`."""
+    out, err = _CountingStdout(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return CliRun(status, out.getvalue(), err.getvalue(), out.writes)

@@ -1,8 +1,6 @@
-import contextlib
 import dataclasses
 import gc
 import inspect
-import io
 import json
 import math
 import os
@@ -30,7 +28,7 @@ from impact_vitality import cli, cohort
 from impact_vitality.cli import main, parse_filter_args
 from impact_vitality.model import has_errors
 
-from conftest import TABLE5_COUNTS, TABLE5_PRINTED_IV, make_dataset, make_target
+from conftest import TABLE5_COUNTS, TABLE5_PRINTED_IV, make_dataset, make_target, run_main
 
 
 @pytest.fixture
@@ -153,6 +151,24 @@ class TestProfile:
             f"impact-vitality: usage error: --filter cites-only: may be given once, "
             f"got {first!r} and {second!r}\n"
         )
+
+    def test_most_cited_is_the_keyword_even_where_a_publication_has_that_id(self, tmp_path, capsys):
+        """Each year from 2001 to 2005, "most-cited" has 2 sole citers and
+        "p2" 3: `cites-only:most-cited` names p2, the most cited, and the
+        publication "most-cited" cannot be named in a filter."""
+        records = [(f"m{y}{i}", y, {"most-cited"}) for y in range(2001, 2006) for i in range(2)]
+        records += [(f"p{y}{i}", y, {"p2"}) for y in range(2001, 2006) for i in range(3)]
+        path = tmp_path / "d.json"
+        path.write_text(emit_dataset(make_dataset([("most-cited", 2000), ("p2", 2000)], records)))
+
+        def profile(cited):
+            assert main(["profile", str(path), "--filter", f"cites-only:{cited}",
+                         "--format", "json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        rows = profile("most-cited")
+        assert rows[0]["observation_year"] == 2005 and rows[0]["total_citing"] == 2 * 5
+        assert rows == profile("p2")
 
     def test_requires_some_input(self, capsys):
         assert main(["profile"]) == 2
@@ -348,15 +364,6 @@ def _overtaken():
     return make_dataset([("p1", 2000), ("p2", 2000)], records)
 
 
-def _run(argv, path):
-    """The exit status, stdout and stderr of `main(argv + [path])`, with
-    `path` written as "DATASET" in stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, str(path)])
-    return code, out.getvalue(), err.getvalue().replace(str(path), "DATASET")
-
-
 FILTER_ARGS = [[], ["self-citations"], ["cites-only:most-cited"], ["cites-only:p0"],
                ["self-citations", "cites-only:most-cited"], ["self-citations", "cites-only:p0"]]
 
@@ -380,7 +387,9 @@ def test_output_as_of_a_year_uses_no_later_record(ds, offset, filters, window):
         full_path.write_text(emit_dataset(ds))
         cut_path.write_text(emit_dataset(cut))
         for argv in (profile, indicators):
-            assert _run(argv, full_path) == _run(argv, cut_path), argv
+            full, cut = (run_main([*argv, str(path)]) for path in (full_path, cut_path))
+            # A message names its file: the cut file's name stands for both.
+            assert full._replace(err=full.err.replace(str(full_path), str(cut_path))) == cut, argv
 
 
 class TestCohort:
@@ -465,16 +474,15 @@ class TestCohort:
         assert err == f"impact-vitality: error: {manifest}: candidate set is empty\n"
 
     def test_errors_come_in_manifest_order(self, tmp_path, capsys):
-        """The first candidate has no IV point and the second file is
-        malformed: the run names the first candidate."""
-        (tmp_path / "zero.csv").write_text(
-            "year,count\n" + "".join(f"{y},0\n" for y in range(2000, 2006))
-        )
+        """The first candidate has citing publications but no admissible
+        window by its call year, and the second file is malformed: the run
+        names the first candidate."""
+        (tmp_path / "short.csv").write_text("year,count\n2004,3\n2005,3\n")
         (tmp_path / "bad.csv").write_text("year,count\n2000,x\n")
         manifest = tmp_path / "m.csv"
         manifest.write_text(
             "candidate_id,selected,call_year,career_start_year,path\n"
-            "z,true,2005,,zero.csv\nb,false,2005,,bad.csv\n"
+            "z,true,2005,,short.csv\nb,false,2005,,bad.csv\n"
         )
         assert main(["cohort", str(manifest)]) == 1
         err = capsys.readouterr().err
@@ -651,22 +659,27 @@ def test_exit_code_rule(case, code, tmp_path, table5_csv, dataset_file, empty_da
         (["profile", "d.json", "--filter", "cites-only:pA"], "d.json",
          "no citing publications to profile"),
         (["profile", "--counts", "empty.csv"], "empty.csv", "no citing publications to profile"),
+        (["profile", "--counts", "zero.csv"], "zero.csv", "no citing publications to profile"),
         (["cohort", "m_csv.csv"], "empty.csv", "no citing publications to profile"),
+        (["cohort", "m_zero.csv"], "zero.csv", "no citing publications to profile"),
         (["cohort", "m_json.csv"], "empty.json", "dataset has no citing records"),
     ],
     ids=["profile", "profile_most_cited", "indicators", "profile_to", "profile_to_most_cited",
-         "indicators_year", "all_filtered_out", "counts", "cohort_counts", "cohort_dataset"],
+         "indicators_year", "all_filtered_out", "counts", "counts_all_zero", "cohort_counts",
+         "cohort_counts_all_zero", "cohort_dataset"],
 )
 def test_empty_input_has_one_diagnostic_per_cause(argv, named, message, tmp_path, capsys):
     """d.json holds 6 records from 2001 to 2003, each citing pA alone;
-    empty.json holds none, and empty.csv only its header."""
+    empty.json holds none, empty.csv only its header, and zero.csv a count
+    of 0 for each year from 2000 to 2005."""
     records = [(f"c{i}", 2001 + i % 3, {"pA"}) for i in range(6)]
     (tmp_path / "d.json").write_text(emit_dataset(make_dataset([("pA", 2000), ("pB", 2000)], records)))
     (tmp_path / "empty.json").write_text(emit_dataset(make_dataset([("pA", 2000)], [])))
     (tmp_path / "empty.csv").write_text("year,count\n")
-    for name in ("csv", "json"):
-        (tmp_path / f"m_{name}.csv").write_text(
-            f"candidate_id,selected,call_year,career_start_year,path\nA,true,2003,,empty.{name}\n"
+    (tmp_path / "zero.csv").write_text("year,count\n" + "".join(f"{y},0\n" for y in range(2000, 2006)))
+    for manifest, name in [("m_csv", "empty.csv"), ("m_json", "empty.json"), ("m_zero", "zero.csv")]:
+        (tmp_path / f"{manifest}.csv").write_text(
+            f"candidate_id,selected,call_year,career_start_year,path\nA,true,2003,,{name}\n"
         )
     argv = [str(tmp_path / arg) if "." in arg else arg for arg in argv]
     assert main(argv) == 1
@@ -992,8 +1005,11 @@ def test_a_pipe_is_read_only_up_to_the_cap(tmp_path, monkeypatch, capsys):
         (["profile", "late.json", "--from", "2010"], "late.json: empty observation range [2010, 2003]"),
         (["profile", "--counts", "late.csv", "--from", "2010"],
          "late.csv: empty observation range [2010, 2003]"),
+        (["profile", "--counts", "late.csv", "--to", "1995", "--window", "fixed:1990"],
+         "late.csv: empty observation range [2001, 1995]"),
     ],
-    ids=["indicators_year", "profile", "profile_to", "profile_from", "counts_from"],
+    ids=["indicators_year", "profile", "profile_to", "profile_from", "counts_from",
+         "counts_to_before_data_fixed"],
 )
 def test_observation_range_errors_name_the_file(argv, culprit, tmp_path, capsys):
     """The career starts in 2005, after every record (2001-2003)."""
@@ -1006,3 +1022,45 @@ def test_observation_range_errors_name_the_file(argv, culprit, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("impact-vitality: error:")
     assert culprit in err
+
+
+@st.composite
+def counts_runs(draw):
+    """(counts, window, to): 1 to 15 consecutive years of counts, zeros
+    allowed, with at least one citing publication; no window (the default),
+    a moving one, or a fixed one starting before, at or after the first
+    counted year; and no --to, or one before, at or after that year."""
+    first = draw(st.integers(1990, 2010))
+    column = draw(st.lists(st.integers(0, 9), min_size=1, max_size=15).filter(any))
+    window = draw(st.one_of(
+        st.none(),
+        st.builds("moving:{}".format, st.integers(2, 6)),
+        st.builds("fixed:{}:{}".format, st.integers(first - 4, first + 4), st.integers(2, 6)),
+    ))
+    to = draw(st.none() | st.integers(first - 5, first + 20))
+    return {first + i: n for i, n in enumerate(column)}, window, to
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts_runs())
+@example(({2000: 0, 2001: 3, 2002: 0}, None, 1999))
+@example(({2000: 0, 2001: 3, 2002: 4}, "fixed:2003:2", 2000))
+def test_from_defaults_to_the_first_counted_year(run):
+    """For every window, an omitted --from is the first counted year; with
+    --to before that year, there is nothing to profile and the run names
+    the file."""
+    counts, window, to = run
+    first = min(counts)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp, "c.csv"))
+        Path(path).write_text(emit_counts(YearlyCitingCounts(counts)))
+        argv = ["profile", "--counts", path]
+        argv += ["--window", window] if window else []
+        argv += ["--to", str(to)] if to is not None else []
+        got = run_main(argv)
+        if to is None or to >= first:
+            assert got == run_main([*argv, "--from", str(first)])
+        else:
+            assert got == (
+                1, "", f"impact-vitality: error: {path}: empty observation range [{first}, {to}]\n", 0
+            )

@@ -3,14 +3,13 @@ lists.
 
 Every input must end in exit 0, 1 or 2; a non-zero exit prints a message
 starting with `impact-vitality:` on stderr and nothing on stdout (or, from
-`validate`, ERROR findings on stdout), and no exception escapes. The
+`validate`, ERROR findings on stdout), and no exception escapes. A run that
+exits 0 or prints findings writes stdout once, any other run not at all. The
 generators mostly build near-valid files, so that many runs get past the
 header or the schema and reach the kernel, the filters and the cohort
 statistics.
 """
 
-import contextlib
-import io
 import json
 import os
 
@@ -19,9 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impact_vitality import YearlyCitingCounts, emit_counts, emit_dataset
-from impact_vitality.cli import main
-
-from conftest import make_dataset, make_target
+from conftest import make_dataset, make_target, run_main
 
 COUNTS_HEADER = "year,count"
 MANIFEST_HEADER = "candidate_id,selected,call_year,career_start_year,path"
@@ -146,19 +143,16 @@ def workdir(tmp_path_factory):
     return root
 
 
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def _check(argv):
-    code, out, err = _run(argv)
+    """The run of `argv`, checked against the rules above."""
+    run = code, out, err, writes = run_main(argv)
     assert code in (0, 1, 2)
-    if code and not (argv[0] == "validate" and "ERROR: " in out):
+    findings = code == 1 and argv[0] == "validate" and "ERROR: " in out
+    assert writes == (1 if code == 0 or findings else 0), (writes, argv)
+    if code and not findings:
         assert err.startswith("impact-vitality:"), err
         assert out == "", out
+    return run
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,14 +223,12 @@ def test_main_never_raises_on_arguments(workdir, parts):
                                                      "missing.json")}
     argv = [command, *(named.get(a, a) for a in files)]
     argv += [named.get(a, a) for chunk in chunks for a in chunk]
-    code, out, err = _run(argv)
-    assert code in (0, 1, 2)
+    code, out, err, _ = _check(argv)
     if code == 0:
         assert err == ""
     elif not (command == "validate" and "ERROR: " in out):
-        assert err.startswith("impact-vitality:") and err.endswith("\n"), err
+        assert err.endswith("\n"), err
         assert len(err.splitlines()) == 1, err
-        assert out == "", out
     helped = {"-h", "--help"} & set(argv)
     # "" is given, not absent: as the last --counts or --window it names no
     # file and no window, so the run fails.

@@ -6,7 +6,6 @@ change of the output, rewrite them from the root of a checkout with
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
-import contextlib
 import csv
 import io
 import json
@@ -25,7 +24,15 @@ from impact_vitality import (
 from impact_vitality import indicators, model
 from impact_vitality.cli import main
 
-from conftest import TABLE5_COUNTS, TABLE5_PRINTED_IV, make_dataset, make_target, table5_dataset
+from conftest import (
+    TABLE5_COUNTS,
+    TABLE5_PRINTED_IV,
+    CliRun,
+    make_dataset,
+    make_target,
+    run_main,
+    table5_dataset,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,26 +101,8 @@ def write_fixtures(d: Path) -> None:
     (d / "manifest.csv").write_text("\n".join(rows) + "\n")
 
 
-class CountingStdout(io.StringIO):
-    """A stdout that counts the calls to its `write`."""
-
-    writes = 0
-
-    def write(self, text):
-        self.writes += 1
-        return super().write(text)
-
-
-def run(argv: list[str]) -> tuple[int, str, int]:
-    """(exit status, stdout, number of writes to stdout) of one run."""
-    out = CountingStdout()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue(), out.writes
-
-
-def run_case(name: str, d: Path) -> tuple[int, str, int]:
-    return run([arg.format(d=d) for arg in CASES[name]])
+def run_case(name: str, d: Path) -> CliRun:
+    return run_main([arg.format(d=d) for arg in CASES[name]])
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +114,10 @@ def fixture_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, fixture_dir):
-    code, out, writes = run_case(name, fixture_dir)
+    code, out, err, writes = run_case(name, fixture_dir)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert err == ""
     assert writes == 1
 
 
@@ -136,10 +126,10 @@ def test_validate_writes_its_findings_once(tmp_path):
     records = [("c0", 2001, {"ghost"}), ("c1", 2002, {"pA", "phantom"})]
     path = tmp_path / "bad.json"
     path.write_text(emit_dataset(make_dataset([("pA", 2000)], records)))
-    assert run(["validate", str(path)]) == (1, (
+    assert run_main(["validate", str(path)]) == (1, (
         "ERROR: citing record 'c0' references unknown publication 'ghost'\n"
         "ERROR: citing record 'c1' references unknown publication 'phantom'\n"
-    ), 1)
+    ), "", 1)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +142,7 @@ def table5_json(tmp_path_factory):
 
 
 def _profile_csv(*argv) -> str:
-    code, out, _ = run(["profile", *argv, "--format", "csv"])
+    code, out, *_ = run_main(["profile", *argv, "--format", "csv"])
     assert code == 0
     return out
 
@@ -207,7 +197,7 @@ def test_stdout_does_not_depend_on_sum(name, fixture_dir, monkeypatch):
     monkeypatch.setattr(indicators, "sum", compensated_sum, raising=False)
     indicators.harmonic.cache_clear()
     try:
-        code, out, _ = run_case(name, fixture_dir)
+        code, out, *_ = run_case(name, fixture_dir)
     finally:
         indicators.harmonic.cache_clear()
     assert code == 0
@@ -218,7 +208,7 @@ def test_stdout_does_not_depend_on_sum(name, fixture_dir, monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_does_not_depend_on_the_year_bound(name, year_max, fixture_dir, monkeypatch):
     monkeypatch.setattr(model, "YEAR_MAX", year_max)
-    code, out, _ = run_case(name, fixture_dir)
+    code, out, *_ = run_case(name, fixture_dir)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
@@ -321,7 +311,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         write_fixtures(Path(tmp))
         for name in sorted(CASES):
-            code, out, _ = run_case(name, Path(tmp))
+            code, out, *_ = run_case(name, Path(tmp))
             if code != 0:
                 sys.exit(f"{name}: exit status {code}")
             (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")
