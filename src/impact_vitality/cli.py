@@ -24,7 +24,6 @@ from . import model
 from .cohort import CandidateProfile, RangeStat, cohort_summary
 from .filters import FilterSet, most_cited_publication
 from .indicators import (
-    DEFAULT_MIN_WINDOW,
     FixedStart,
     MovingWindow,
     WindowSpec,
@@ -53,11 +52,12 @@ READ_CAP = 256 * 2**20
 _FIRST_READ = 64 * 2**10
 
 
-def _cohort_rows(span: int) -> tuple:
+def _cohort_rows() -> tuple:
     """Cohort statistics in output order: (text label, JSON key, CohortStats
-    field, decimals in the text table). `span` is the years until the call
-    that two rows cover. A range prints as "min to max, average mean"; the
+    field, decimals in the text table). Two rows cover the `cohort.CALL_SPAN`
+    years until the call. A range prints as "min to max, average mean"; the
     share prints as a percentage."""
+    span = cohort.CALL_SPAN
     return (
         ("Number of candidates", "group_size", "group_size", 0),
         ("Minimum IV", "min_iv", "min_iv_range", 2),
@@ -148,8 +148,7 @@ def parse_window_arg(arg: str) -> WindowSpec:
             return window
         if parts[0] == "fixed" and len(parts) in (2, 3):
             start = _year_arg("--window start", ivio.integer(parts[1]))
-            min_length = ivio.integer(parts[2]) if len(parts) == 3 else DEFAULT_MIN_WINDOW
-            return FixedStart(start_year=start, min_length=min_length)
+            return FixedStart(start, *map(ivio.integer, parts[2:]))
     except ValueError as exc:
         raise UsageError(f"invalid --window {arg!r}: {exc}") from exc
     raise UsageError(
@@ -300,13 +299,12 @@ def _load_candidate(entry: dict, base: Path) -> CandidateProfile:
         if _is_special(path):
             raise ValueError("not a regular file")
         text = _read(path)
-        counts, ds = _load(text, text.lstrip().startswith("{"))
+        # As `profile FILE --to <call year>`, with `--window fixed:<start>`
+        # where the manifest gives the start.
+        counts, ds = _load(text, text.lstrip().startswith("{"), call_year)
         if start is None and ds is not None:
             start = ds.target.career_start_year
-        spec = _growing_window(counts, ds, start)
-        if call_year < spec.start_year:
-            raise ValueError(f"call year {call_year} is before the window start {spec.start_year}")
-        profile = iv_profile(counts, spec, spec.start_year, call_year)
+        profile = iv_profile(counts, _growing_window(counts, ds, start), counts.min_year(), call_year)
     return CandidateProfile(
         candidate_id=entry["candidate_id"],
         selected=entry["selected"],
@@ -333,7 +331,7 @@ def cmd_cohort(args) -> tuple[int, str]:
         entries = ivio.parse_manifest(_read(args.manifest))
         base = Path(args.manifest).parent
         summary = cohort_summary(_load_candidate(e, base) for e in entries)
-    rows = _cohort_rows(cohort.CALL_SPAN)
+    rows = _cohort_rows()
 
     if args.format == "json":
         doc = {}

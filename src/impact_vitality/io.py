@@ -2,8 +2,9 @@
 
 Two input granularities are supported: a full JSON dataset (target author,
 publications, citing records) and a bare CSV of yearly citing counts. The
-dataset schema is strict and versioned; unknown fields are rejected by name
-so that silent field drops cannot occur when files are exchanged.
+dataset schema is strict and versioned; unknown fields are rejected by name.
+One field drop stays silent: a name repeated in one object keeps its last
+value, as `json.loads` gives it, and the earlier values go without a message.
 """
 
 from __future__ import annotations

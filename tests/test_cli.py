@@ -26,7 +26,8 @@ from impact_vitality import (
 )
 from impact_vitality import cli, cohort
 from impact_vitality.cli import main, parse_filter_args
-from impact_vitality.model import has_errors
+from impact_vitality.io import parse_manifest
+from impact_vitality.model import YEAR_MAX, YEAR_MIN, has_errors
 
 from conftest import TABLE5_COUNTS, TABLE5_PRINTED_IV, make_dataset, make_target, run_main
 
@@ -446,7 +447,7 @@ class TestCohort:
         )
         assert main(["cohort", str(tmp_path / "m.csv")]) == 1
         err = capsys.readouterr().err
-        assert "late.csv: call year 1999 is before the window start 2001" in err
+        assert "late.csv: empty observation range [2001, 1999]" in err
 
     def test_duplicate_candidate_is_data_error(self, tmp_path, capsys):
         manifest = self.make_manifest(tmp_path)
@@ -991,6 +992,61 @@ def test_a_pipe_is_read_only_up_to_the_cap(tmp_path, monkeypatch, capsys):
     assert not writer.is_alive()
     assert capsys.readouterr().err == f"impact-vitality: error: {fifo}: larger than {cap} bytes\n"
     assert cap < sent[0] < offered
+
+
+@st.composite
+def candidates(draw):
+    """(text, is a dataset, call year, career start): a counts file of 1 to
+    15 consecutive years, zeros allowed, or a small dataset; a call year
+    mostly near the first year of data, else anywhere in [YEAR_MIN,
+    YEAR_MAX]; and a blank career start or one near the data."""
+    if draw(st.booleans()):
+        ds = draw(valid_datasets())
+        text, dataset, first = emit_dataset(ds), True, min(r.year for r in ds.citing_records)
+    else:
+        first = draw(st.integers(1990, 2010))
+        column = draw(st.lists(st.integers(0, 9), min_size=1, max_size=15))
+        text = emit_counts(YearlyCitingCounts({first + i: n for i, n in enumerate(column)}))
+        dataset = False
+    near = draw(st.integers(0, 9)) > 0
+    call_year = draw(st.integers(first - 4, first + 12) if near else st.integers(YEAR_MIN, YEAR_MAX))
+    return text, dataset, call_year, draw(st.none() | st.integers(first - 8, first + 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidates())
+@example(("year,count\n2001,3\n2002,4\n", False, 1999, None))
+@example((emit_dataset(make_dataset([("pA", 2000)], [("c0", 2003, {"pA"})],
+                                    target=make_target(career_start_year=2000))), True, 2002, None))
+def test_a_candidate_is_profiled_as_profile_to_its_call_year(candidate):
+    """A one-candidate cohort fails with the line of `profile FILE --to
+    <call year>`, plus `--window fixed:<start>` where the manifest gives a
+    career start; or the candidate's points are that profile's; or, where
+    that profile has no row, the cohort names the candidate's empty profile."""
+    text, dataset, call_year, start = candidate
+    with tempfile.TemporaryDirectory() as tmp:
+        name = "c.json" if dataset else "c.csv"
+        path, manifest = str(Path(tmp, name)), str(Path(tmp, "m.csv"))
+        Path(path).write_text(text)
+        Path(manifest).write_text("candidate_id,selected,call_year,career_start_year,path\n"
+                                  f"a,true,{call_year},{'' if start is None else start},{name}\n")
+        argv = ["profile", path] if dataset else ["profile", "--counts", path]
+        argv += ["--to", str(call_year), "--format", "json"]
+        argv += ["--window", f"fixed:{start}"] if start is not None else []
+        profile, run = run_main(argv), run_main(["cohort", manifest, "--format", "json"])
+        if profile.status != 0:
+            assert profile.status == 1
+            assert run == (1, "", profile.err, 0)
+        elif profile.out == "[]\n":
+            assert run == (
+                1, "", f"impact-vitality: error: {manifest}: candidate 'a' has an empty profile\n", 0
+            )
+        else:
+            assert run.status == 0
+            loaded = cli._load_candidate(parse_manifest(Path(manifest).read_text())[0], Path(tmp))
+            assert {p.observation_year: p.value for p in loaded.profile.points} == {
+                row["observation_year"]: row["iv_value_raw"] for row in json.loads(profile.out)
+            }
 
 
 @pytest.mark.parametrize(

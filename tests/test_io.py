@@ -82,6 +82,19 @@ class TestParseDataset:
         with pytest.raises(FormatError, match="impact_factor"):
             parse_dataset(json.dumps(doc))
 
+    @pytest.mark.parametrize("repeated, value", [
+        ('"year": 2000', '"year": 1999, "year": 2000'),
+        ('"year": 2003', '"year": 2004, "year": 2003'),
+    ], ids=["publication_year", "record_year"])
+    def test_a_repeated_key_keeps_its_last_value(self, repeated, value):
+        """A name given twice in one object is no error: as in `json.loads`,
+        the last value is the one parsed, and the first is dropped unnamed."""
+        assert MINIMAL_DOC.count(repeated) == 1
+        ds = parse_dataset(MINIMAL_DOC.replace(repeated, value))
+        assert ds == parse_dataset(MINIMAL_DOC)
+        # the first value alone parses to another dataset
+        assert parse_dataset(MINIMAL_DOC.replace(repeated, value.split(", ")[0])) != ds
+
     def test_bad_schema_version(self):
         doc = json.loads(MINIMAL_DOC)
         doc["schema_version"] = 99
