@@ -68,11 +68,14 @@ def profile_fluctuation(p: IVProfile, call_year: int) -> Optional[float]:
     Defined only when each of the CALL_SPAN observation years in
     [call_year - CALL_SPAN + 1, call_year] carries an IV value.
     """
-    in_span = [
-        pt.value
-        for pt in p.points
-        if call_year - CALL_SPAN + 1 <= pt.observation_year <= call_year
-    ]
+    first = call_year - CALL_SPAN + 1
+    in_span = []
+    for pt in reversed(p.points):  # years ascend: read the tail, stop below the span
+        year = pt.observation_year
+        if year <= call_year:
+            if year < first:
+                break
+            in_span.append(pt.value)
     if len(in_span) != CALL_SPAN:
         return None
     return max(in_span) - min(in_span)

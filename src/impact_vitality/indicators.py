@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 from .model import YearlyCitingCounts
@@ -101,14 +101,20 @@ class IVPoint:
     def __init__(self, observation_year: int, window_length: int, value: float,
                  total_citing: int, zero_year_flag: bool):
         # Written out, as a cohort builds a point per candidate per year: a
-        # generated `__init__` looks up `object.__setattr__` once per field.
-        # The signature must list the fields in order, without defaults.
-        set_field = object.__setattr__
-        set_field(self, "observation_year", observation_year)
-        set_field(self, "window_length", window_length)
-        set_field(self, "value", value)
-        set_field(self, "total_citing", total_citing)
-        set_field(self, "zero_year_flag", zero_year_flag)
+        # generated `__init__` calls `object.__setattr__`, which looks each
+        # name up through the type. Each field is stored through its slot's
+        # descriptor instead, bound once below. The signature must list the
+        # fields in order, without defaults.
+        _set_observation_year(self, observation_year)
+        _set_window_length(self, window_length)
+        _set_value(self, value)
+        _set_total_citing(self, total_citing)
+        _set_zero_year_flag(self, zero_year_flag)
+
+
+# One slot setter per field, named after it; `fields` gives them in order.
+(_set_observation_year, _set_window_length, _set_value, _set_total_citing,
+ _set_zero_year_flag) = (IVPoint.__dict__[f.name].__set__ for f in fields(IVPoint))
 
 
 @dataclass(frozen=True)

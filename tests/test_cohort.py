@@ -2,6 +2,8 @@ import math
 import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from impact_vitality import (
     CandidateProfile,
@@ -76,6 +78,32 @@ class TestProfileFluctuation:
     def test_points_outside_span_ignored(self):
         p = profile_from_values([9.0, 1.5, 1.4, 1.3, 1.2, 1.1], first_year=1999)
         assert profile_fluctuation(p, 2004) == pytest.approx(0.4)
+
+
+@st.composite
+def profiles_around_a_call(draw):
+    """A profile with points before, inside (maybe with gaps) and after the
+    call span, and the call year; years strictly increasing."""
+    call = draw(st.integers(1990, 2010))
+    span = range(call - cohort.CALL_SPAN + 1, call + 1)
+    before = draw(st.sets(st.integers(span[0] - 15, span[0] - 1), max_size=6))
+    inside = draw(st.one_of(st.just(set(span)), st.sets(st.sampled_from(span))))
+    after = draw(st.sets(st.integers(call + 1, call + 15), max_size=6))
+    years = sorted(before | inside | after)
+    values = draw(st.lists(st.floats(-5.0, 50.0), min_size=len(years), max_size=len(years)))
+    points = tuple(IVPoint(y, 5, v, 10, False) for y, v in zip(years, values))
+    return IVProfile(points=points, window_spec=FixedStart(1950, 2)), call
+
+
+@given(profiles_around_a_call())
+def test_fluctuation_reads_only_the_call_span(drawn):
+    profile, call = drawn
+    in_span = [
+        pt.value for pt in profile.points
+        if call - cohort.CALL_SPAN + 1 <= pt.observation_year <= call
+    ]
+    expected = max(in_span) - min(in_span) if len(in_span) == cohort.CALL_SPAN else None
+    assert profile_fluctuation(profile, call) == expected
 
 
 class TestCohortSummary:
