@@ -7,6 +7,7 @@ over the years leading up to the call, and average citing volumes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from statistics import fmean
 from typing import Iterable, Optional
@@ -27,8 +28,8 @@ class CandidateProfile:
     career_start_year: Optional[int] = None
 
     def __post_init__(self):
-        points = self.profile.points  # ascending years, so the last is the latest
-        if points and points[-1].observation_year > self.call_year:
+        years = self.profile.observation_years  # ascending, so the last is the latest
+        if years and years[-1] > self.call_year:
             raise ValueError(
                 f"candidate {self.candidate_id!r} has IV points after call year "
                 f"{self.call_year}"
@@ -57,9 +58,9 @@ class CohortStats:
 
 
 def profile_min(p: IVProfile) -> float:
-    if not p.points:
+    if not p.values:
         raise ValueError("profile is empty")
-    return min(pt.value for pt in p.points)
+    return min(p.values)
 
 
 def profile_fluctuation(p: IVProfile, call_year: int) -> Optional[float]:
@@ -68,16 +69,12 @@ def profile_fluctuation(p: IVProfile, call_year: int) -> Optional[float]:
     Defined only when each of the CALL_SPAN observation years in
     [call_year - CALL_SPAN + 1, call_year] carries an IV value.
     """
-    first = call_year - CALL_SPAN + 1
-    in_span = []
-    for pt in reversed(p.points):  # years ascend: read the tail, stop below the span
-        year = pt.observation_year
-        if year <= call_year:
-            if year < first:
-                break
-            in_span.append(pt.value)
-    if len(in_span) != CALL_SPAN:
+    years = p.observation_years  # strictly ascending, so a span of years is a slice
+    first = bisect_left(years, call_year - CALL_SPAN + 1)
+    end = bisect_right(years, call_year, first)
+    if end - first != CALL_SPAN:
         return None
+    in_span = p.values[first:end]
     return max(in_span) - min(in_span)
 
 
@@ -99,7 +96,7 @@ def _mean_citing(counts: YearlyCitingCounts, first_year: int, last_year: int) ->
 
 def _row(c: CandidateProfile) -> tuple:
     """Minimum, fluctuation, 5-year and since-start citing means; None if undefined."""
-    if not c.profile.points:
+    if not c.profile.values:
         raise ValueError(f"candidate {c.candidate_id!r} has an empty profile")
     call, counts, start = c.call_year, c.yearly_counts, c.career_start_year
     return (

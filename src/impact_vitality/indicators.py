@@ -90,7 +90,7 @@ class FixedStart:
 WindowSpec = Union[MovingWindow, FixedStart]
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class IVPoint:
     observation_year: int
     window_length: int
@@ -98,40 +98,39 @@ class IVPoint:
     total_citing: int
     zero_year_flag: bool  # some window year had zero citing publications
 
-    def __init__(self, observation_year: int, window_length: int, value: float,
-                 total_citing: int, zero_year_flag: bool):
-        # Written out, as a cohort builds a point per candidate per year: a
-        # generated `__init__` calls `object.__setattr__`, which looks each
-        # name up through the type. Each field is stored through its slot's
-        # descriptor instead, bound once below. The signature must list the
-        # fields in order, without defaults.
-        _set_observation_year(self, observation_year)
-        _set_window_length(self, window_length)
-        _set_value(self, value)
-        _set_total_citing(self, total_citing)
-        _set_zero_year_flag(self, zero_year_flag)
-
-
-# One slot setter per field, named after it; `fields` gives them in order.
-(_set_observation_year, _set_window_length, _set_value, _set_total_citing,
- _set_zero_year_flag) = (IVPoint.__dict__[f.name].__set__ for f in fields(IVPoint))
-
 
 @dataclass(frozen=True)
 class IVProfile:
-    """IV values across observation years, ascending, no duplicates."""
+    """IV values across observation years, ascending, no duplicates, as one
+    column per `IVPoint` field; the i-th entries of the columns are point i."""
 
-    points: tuple[IVPoint, ...]
+    observation_years: tuple[int, ...]
+    window_lengths: tuple[int, ...]
+    values: tuple[float, ...]
+    totals_citing: tuple[int, ...]
+    zero_year_flags: tuple[bool, ...]
     window_spec: WindowSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        years = [p.observation_year for p in self.points]
+        lengths = []
+        for f in fields(self)[:-1]:  # the columns; window_spec comes last
+            column = tuple(getattr(self, f.name))
+            object.__setattr__(self, f.name, column)
+            lengths.append(len(column))
+        if len(set(lengths)) > 1:
+            raise ValueError(f"profile columns have unequal lengths {lengths}")
+        years = self.observation_years
         if any(a >= b for a, b in zip(years, years[1:])):
             raise ValueError("profile observation years must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.observation_years)
+
+    @functools.cached_property
+    def points(self) -> tuple[IVPoint, ...]:
+        """The columns as points, built on first access."""
+        return tuple(map(IVPoint, self.observation_years, self.window_lengths, self.values,
+                         self.totals_citing, self.zero_year_flags))
 
 
 def iv_profile(
@@ -140,7 +139,7 @@ def iv_profile(
     first_year: int,
     last_year: int,
 ) -> IVProfile:
-    """Compute one IVPoint per admissible observation year in the range.
+    """Compute one IV point per admissible observation year in the range.
 
     Years missing from `counts` contribute 0 inside a window. Observation
     years whose window total is 0 are skipped entirely (the formula is
@@ -180,17 +179,20 @@ def iv_profile(
     # ends n cells on, a growing one at the oldest start. The kernel is read
     # from the module here, per call, so that a rebound `impact_vitality`
     # (the benchmark's call counter) sees every point.
-    points: list[IVPoint] = []
-    append, point, kernel = points.append, IVPoint, impact_vitality
+    years, lengths, values, totals, flags = [], [], [], [], []
+    kernel = impact_vitality
     for y_t in range(first_year, last_year + 1):
         k = last_year - y_t
         end = k + spec.n if moving else size
         total = after[k] - after[end]
         if total == 0:
             continue
-        # by position, in field order: keyword arguments cost more per point
-        append(point(y_t, end - k, kernel(newest[k:end]), total, next_zero[k] < end))
-    return IVProfile(points=tuple(points), window_spec=spec)
+        years.append(y_t)
+        lengths.append(end - k)
+        values.append(kernel(newest[k:end]))
+        totals.append(total)
+        flags.append(next_zero[k] < end)
+    return IVProfile(years, lengths, values, totals, flags, spec)
 
 
 def h_index(citation_counts: Sequence[int]) -> int:

@@ -204,6 +204,20 @@ def test_stdout_does_not_depend_on_sum(name, fixture_dir, monkeypatch):
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", ["cohort_json", "cohort_table"])
+def test_cohort_builds_no_point(name, fixture_dir, monkeypatch):
+    """A cohort reads each profile's columns: it gives the same output when
+    no `IVPoint` can be built."""
+    expected = run_case(name, fixture_dir)
+
+    def no_point(*fields):
+        raise AssertionError("a cohort built an IVPoint")
+
+    monkeypatch.setattr(indicators, "IVPoint", no_point)
+    assert run_case(name, fixture_dir) == expected
+    assert expected.status == 0
+
+
 @pytest.mark.parametrize("year_max", [2009, 2100])  # the latest fixture year, and far ahead
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_does_not_depend_on_the_year_bound(name, year_max, fixture_dir, monkeypatch):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from impact_vitality import (
     CandidateProfile,
     FixedStart,
-    IVPoint,
     IVProfile,
     RangeStat,
     YearlyCitingCounts,
@@ -23,10 +22,15 @@ from conftest import TABLE5_COUNTS
 
 
 def profile_from_values(values, first_year=2000, n=5):
-    points = tuple(
-        IVPoint(first_year + i, n, v, 10, False) for i, v in enumerate(values)
+    size = len(values)
+    return IVProfile(
+        observation_years=range(first_year, first_year + size),
+        window_lengths=[n] * size,
+        values=values,
+        totals_citing=[10] * size,
+        zero_year_flags=[False] * size,
+        window_spec=FixedStart(first_year - n + 1, 2),
     )
-    return IVProfile(points=points, window_spec=FixedStart(first_year - n + 1, 2))
 
 
 def candidate(cid, selected, values, call_year=None, counts=None, start=None):
@@ -56,7 +60,7 @@ class TestProfileMin:
         assert profile_min(profile_from_values([1.2, 0.9, 1.5])) == 0.9
 
     def test_rejects_empty(self):
-        empty = IVProfile(points=(), window_spec=FixedStart(2000, 2))
+        empty = IVProfile((), (), (), (), (), window_spec=FixedStart(2000, 2))
         with pytest.raises(ValueError, match="profile is empty"):
             profile_min(empty)
 
@@ -91,8 +95,9 @@ def profiles_around_a_call(draw):
     after = draw(st.sets(st.integers(call + 1, call + 15), max_size=6))
     years = sorted(before | inside | after)
     values = draw(st.lists(st.floats(-5.0, 50.0), min_size=len(years), max_size=len(years)))
-    points = tuple(IVPoint(y, 5, v, 10, False) for y, v in zip(years, values))
-    return IVProfile(points=points, window_spec=FixedStart(1950, 2)), call
+    size = len(years)
+    profile = IVProfile(years, [5] * size, values, [10] * size, [False] * size, FixedStart(1950, 2))
+    return profile, call
 
 
 @given(profiles_around_a_call())

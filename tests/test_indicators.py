@@ -181,13 +181,24 @@ class TestIVProfile:
             iv_profile(counts, FixedStart(2010), 1999, 2005)
 
     def test_years_strictly_increasing_enforced(self):
-        pt = IVPoint(2000, 5, 1.0, 10, False)
         with pytest.raises(ValueError):
-            IVProfile(points=(pt, pt), window_spec=MovingWindow(5))
+            IVProfile((2000, 2000), (5, 5), (1.0, 1.0), (10, 10), (False, False), MovingWindow(5))
+
+    def test_columns_of_unequal_length_refused(self):
+        with pytest.raises(ValueError, match=r"unequal lengths \[2, 2, 1, 2, 2\]"):
+            IVProfile((2000, 2001), (5, 5), (1.0,), (10, 10), (False, False), MovingWindow(5))
+
+    def test_columns_are_stored_as_tuples(self):
+        profile = IVProfile(range(2000, 2002), [5, 6], [1.0, 1.5], [10, 12], [False, True],
+                            MovingWindow(5))
+        assert (profile.observation_years, profile.window_lengths, profile.values,
+                profile.totals_citing, profile.zero_year_flags) == (
+            (2000, 2001), (5, 6), (1.0, 1.5), (10, 12), (False, True))
 
 
 class TestIVPointConstructor:
-    """`IVPoint`'s hand-written `__init__` behaves as a generated one would."""
+    """`IVPoint`'s generated constructor takes the fields by position or by
+    name, and the point stays frozen and slotted."""
 
     def test_signature_lists_the_fields_in_order_without_defaults(self):
         params = inspect.signature(IVPoint).parameters

@@ -4,7 +4,7 @@ import functools
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from impact_vitality import (
     FilterSet,
     FixedStart,
+    IVPoint,
+    IVProfile,
     MovingWindow,
     YearlyCitingCounts,
     apply_filters,
@@ -168,6 +170,29 @@ def test_profile_is_bit_identical_to_reference_formula(counts_map, spec, first, 
         for p in profile.points
     ]
     assert got == _reference_profile(counts_map, spec, first, last)
+
+
+@given(
+    sparse_counts,
+    window_specs,
+    st.integers(min_value=1970, max_value=2030),
+    st.integers(min_value=0, max_value=50),
+)
+def test_points_are_the_columns(counts_map, spec, first, span):
+    """`points[i]` holds the i-th entry of each column, and the fields of
+    the points give the profile back."""
+    last = first + span
+    assume(not isinstance(spec, FixedStart) or spec.start_year <= last)
+    profile = iv_profile(YearlyCitingCounts(counts_map), spec, first, last)
+    columns = (profile.observation_years, profile.window_lengths, profile.values,
+               profile.totals_citing, profile.zero_year_flags)
+    assert len(profile.points) == len(profile) and profile.points is profile.points
+    for i, pt in enumerate(profile.points):
+        assert [getattr(pt, f.name) for f in fields(pt)] == [column[i] for column in columns]
+    rebuilt = IVProfile(
+        *([getattr(pt, f.name) for pt in profile.points] for f in fields(IVPoint)), spec
+    )
+    assert rebuilt == profile
 
 
 @functools.lru_cache(maxsize=None)
