@@ -10,18 +10,22 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import marshal
 import os
+import signal
 import stat
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import asdict, replace
+from itertools import repeat
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import cohort
 from . import io as ivio
 from . import model
-from .cohort import CandidateProfile, RangeStat, cohort_summary
+from .cohort import CandidateProfile, RangeStat
 from .filters import FilterSet, most_cited_publication
 from .indicators import (
     FixedStart,
@@ -50,6 +54,11 @@ _LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\
 # read of a pipe or an endless device stops here instead of at memory's end.
 READ_CAP = 256 * 2**20
 _FIRST_READ = 64 * 2**10
+
+# A cohort worker process profiles at least this many candidates. With
+# fewer, the fork, the pipe and the wait cost more than the share saves:
+# on a 2-vCPU VM, two workers broke even at 40 to 200 candidates.
+_MIN_PER_WORKER = 100
 
 
 def _cohort_rows() -> tuple:
@@ -315,6 +324,99 @@ def _load_candidate(entry: dict, base: Path) -> CandidateProfile:
     )
 
 
+def _candidate_row(entry: dict, base: Path) -> tuple:
+    """(selected, row) of a manifest entry: all that the cohort statistics
+    read of a candidate, and all that a worker process sends back."""
+    candidate = _load_candidate(entry, base)
+    return candidate.selected, cohort.candidate_row(candidate)
+
+
+def _worker_count(candidates: int) -> int:
+    """How many forked worker processes profile `candidates` cohort
+    candidates: one per CPU this process may run on, each with at least
+    _MIN_PER_WORKER candidates. Below 2 the candidates are profiled in
+    process, as they are without os.fork, while another thread runs (a
+    fork copies only the calling thread, so a lock that another one holds
+    stays held in the child) and while SIGCHLD has a handler or is
+    ignored (either may reap a worker before its status is read)."""
+    if (not hasattr(os, "fork") or _thread_count() > 1
+            or signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, candidates // _MIN_PER_WORKER))
+
+
+def _thread_count() -> int:
+    try:  # Linux lists every thread here, also those that Python did not start
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _rows_from_workers(entries: list, base: Path, workers: int, manifest: str) -> list:
+    """The `_candidate_row`s of `entries` in manifest order, each of
+    `workers` forked processes profiling one contiguous share. A share
+    holds only candidates after those of every share before it, so the
+    first share that fails names the error an in-process run names. Every
+    worker is reaped on every path; those still running are killed first."""
+    bounds = [len(entries) * k // workers for k in range(workers + 1)]
+    pids, pipes = [], []
+    try:
+        for first, end in zip(bounds, bounds[1:]):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _profile_share(entries[first:end], base, manifest, write_end)
+                pids.append(pid)
+            finally:
+                os.close(write_end)
+        rows = []
+        for pipe in pipes:
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            pids.pop(0)
+            if status != 0:
+                cause = f"signal {-status}" if status < 0 else f"exit status {status}"
+                raise DataError(f"{manifest}: a worker process ended without a result ({cause})")
+            share, error = marshal.loads(data)
+            rows += share
+            if error is not None:
+                raise DataError(error)
+        return rows
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _profile_share(entries: list, base: Path, manifest: str, write_end: int) -> NoReturn:
+    """In a worker process: send the `_candidate_row`s of `entries` up to
+    the first error, and that error's text or None, through `write_end`;
+    then end the process. Every path ends in os._exit, so a worker never
+    returns into its caller's stack or flushes the stdio it inherited."""
+    status = 1
+    try:
+        rows, error = [], None
+        try:
+            with _about(manifest):
+                for entry in entries:
+                    rows.append(_candidate_row(entry, base))
+        except DataError as exc:
+            error = str(exc)
+        with open(write_end, "wb") as pipe:
+            marshal.dump((rows, error), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _stat_cell(value, decimals: int) -> str:
     if value is None:
         return "n/a"
@@ -330,7 +432,12 @@ def cmd_cohort(args) -> tuple[int, str]:
     with _about(args.manifest):
         entries = ivio.parse_manifest(_read(args.manifest))
         base = Path(args.manifest).parent
-        summary = cohort_summary(_load_candidate(e, base) for e in entries)
+        workers = _worker_count(len(entries))
+        if workers < 2:
+            candidate_rows = map(_candidate_row, entries, repeat(base))
+        else:
+            candidate_rows = _rows_from_workers(entries, base, workers, args.manifest)
+        summary = cohort.summarize_rows(candidate_rows)
     rows = _cohort_rows()
 
     if args.format == "json":

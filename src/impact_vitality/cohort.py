@@ -94,8 +94,9 @@ def _mean_citing(counts: YearlyCitingCounts, first_year: int, last_year: int) ->
     return fmean([get(y, 0) for y in range(first_year, last_year + 1)])
 
 
-def _row(c: CandidateProfile) -> tuple:
-    """Minimum, fluctuation, 5-year and since-start citing means; None if undefined."""
+def candidate_row(c: CandidateProfile) -> tuple:
+    """Minimum, fluctuation, 5-year and since-start citing means; None if
+    undefined. Floats and None only, so `marshal` carries a row exactly."""
     if not c.profile.values:
         raise ValueError(f"candidate {c.candidate_id!r} has an empty profile")
     call, counts, start = c.call_year, c.yearly_counts, c.career_start_year
@@ -132,9 +133,15 @@ def cohort_summary(candidates: Iterable[CandidateProfile]) -> dict[str, CohortSt
     since-start citing average covers only candidates with a known career
     start year.
     """
+    return summarize_rows((c.selected, candidate_row(c)) for c in candidates)
+
+
+def summarize_rows(rows: Iterable[tuple[bool, tuple]]) -> dict[str, CohortStats]:
+    """`cohort_summary` of the candidates whose (selected, `candidate_row`)
+    pairs `rows` yields, in the same order."""
     selected, not_selected = [], []
-    for c in candidates:
-        (selected if c.selected else not_selected).append(_row(c))
+    for is_selected, row in rows:
+        (selected if is_selected else not_selected).append(row)
     if not selected and not not_selected:
         raise ValueError("candidate set is empty")
     return {"selected": _group_stats(selected), "not_selected": _group_stats(not_selected)}

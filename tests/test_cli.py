@@ -6,11 +6,14 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -1120,3 +1123,217 @@ def test_from_defaults_to_the_first_counted_year(run):
             assert got == (
                 1, "", f"impact-vitality: error: {path}: empty observation range [{first}, {to}]\n", 0
             )
+
+
+# Cohort worker processes. Above cli._MIN_PER_WORKER candidates per worker,
+# `cohort` profiles contiguous shares of the manifest in forked processes;
+# the tests set the count through the one helper that decides it.
+
+def write_cohort(directory: Path, size: int = 300) -> str:
+    """A manifest of `size` candidates: counts files, some with missing
+    years, and every tenth a dataset; career starts blank or set."""
+    rng = random.Random(size)
+    rows = ["candidate_id,selected,call_year,career_start_year,path"]
+    for i in range(size):
+        first = rng.randint(1980, 2000)
+        call = first + rng.randint(6, 25)
+        start = rng.choice(["", str(first), str(first - rng.randint(1, 3))])
+        if i % 10 == 0:
+            ds = make_dataset(
+                [("pA", first), ("pB", first + 1)],
+                [(f"c{j}", first + 1 + j % (call - first), {"pA"} if j % 3 else {"pA", "pB"})
+                 for j in range(rng.randint(5, 40))],
+                target=make_target(career_start_year=rng.choice([None, first])),
+            )
+            name, text = f"d{i}.json", emit_dataset(ds)
+        else:
+            counts = {first + k: rng.randint(1, 30) for k in range(call - first + 3)
+                      if k == 0 or rng.random() > 0.2}  # a missing year counts 0
+            name, text = f"c{i}.csv", emit_counts(YearlyCitingCounts(counts))
+        (directory / name).write_text(text)
+        rows.append(f"k{i},{'true' if i % 3 else 'false'},{call},{start},{name}")
+    manifest = directory / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    return str(manifest)
+
+
+@contextmanager
+def deadline(seconds: float, error=TimeoutError):
+    """Raise `error` in a run that waits longer than `seconds`, such as one
+    that opened a FIFO with no writer. It is raised in this process, which
+    kills and reaps its workers on the way out."""
+    def expire(signum, frame):
+        raise error(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run_cohort(monkeypatch, argv, workers: int, seconds=30, error=TimeoutError):
+    """`run_main(argv)` with `workers` worker processes, under a deadline,
+    and the pids of the workers it forked."""
+    monkeypatch.setattr(cli, "_worker_count", lambda candidates: workers)
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    with deadline(seconds, error):
+        run = run_main(argv)
+    monkeypatch.setattr(os, "fork", fork)
+    return run, forked
+
+
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_workers_give_the_in_process_bytes(fmt, tmp_path, monkeypatch):
+    manifest = write_cohort(tmp_path)
+    argv = ["cohort", manifest, "--format", fmt]
+    runs = {}
+    for workers in (1, 2, 3):
+        runs[workers], forked = run_cohort(monkeypatch, argv, workers)
+        assert len(forked) == (0 if workers == 1 else workers)
+        assert_no_child_is_left()
+    assert runs[1].status == 0 and runs[1].err == "" and runs[1].writes == 1
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+BAD_CANDIDATES = {
+    "negative": lambda path: path.write_text("year,count\n2000,3\n2001,-1\n"),
+    "missing": lambda path: path.unlink(),
+    "fifo": lambda path: (path.unlink(), os.mkfifo(path)),
+}
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("kinds", [
+    ("negative", "missing", "fifo"), ("missing", "fifo", "negative"), ("fifo", "negative", "missing"),
+], ids=lambda kinds: kinds[0])
+def test_workers_name_the_first_error_in_manifest_order(kinds, tmp_path, monkeypatch):
+    """Candidates 151, 241 and 281 go bad, in the second share of two
+    workers and the second and third of three. Every run prints the one
+    line of the in-process run, which names the first of them; a FIFO is
+    refused unopened, as an open would wait for a writer until the deadline."""
+    manifest = write_cohort(tmp_path)
+    for index, kind in zip((151, 241, 281), kinds):
+        BAD_CANDIDATES[kind](tmp_path / f"c{index}.csv")
+    argv = ["cohort", manifest, "--format", "json"]
+    expected, _ = run_cohort(monkeypatch, argv, 1)
+    assert expected.status == 1 and expected.out == ""
+    assert str(tmp_path / "c151.csv") in expected.err
+    for workers in (2, 3):
+        run, forked = run_cohort(monkeypatch, argv, workers)
+        assert run == expected and len(forked) == workers
+        assert_no_child_is_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("end, cause", [
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+], ids=["exit", "killed"])
+def test_a_worker_that_ends_without_a_result_is_named(end, cause, tmp_path, monkeypatch):
+    manifest = write_cohort(tmp_path)
+    row = cli._candidate_row
+
+    def dying_row(entry, base):
+        if entry["candidate_id"] == "k201":  # in the last share of two workers and of three
+            end()
+        return row(entry, base)
+
+    monkeypatch.setattr(cli, "_candidate_row", dying_row)
+    for workers in (2, 3):
+        run, _ = run_cohort(monkeypatch, ["cohort", manifest], workers)
+        assert run == (1, "", f"impact-vitality: error: {manifest}: a worker process "
+                              f"ended without a result ({cause})\n", 0)
+        assert_no_child_is_left()
+
+
+@needs_fork
+def test_an_interrupt_reaps_every_worker(tmp_path, monkeypatch):
+    """A worker stalls; a KeyboardInterrupt in the wait for it ends the
+    run, and no worker outlives it."""
+    manifest = write_cohort(tmp_path)
+    row = cli._candidate_row
+
+    def stalling_row(entry, base):
+        if entry["candidate_id"] == "k201":
+            signal.pause()
+        return row(entry, base)
+
+    monkeypatch.setattr(cli, "_candidate_row", stalling_row)
+    with pytest.raises(KeyboardInterrupt):
+        run_cohort(monkeypatch, ["cohort", manifest], 2, seconds=1, error=KeyboardInterrupt)
+    assert_no_child_is_left()
+
+
+def cpus_available(cpus: int, affinity: bool):
+    """This process may run on `cpus` CPUs, as `os.sched_getaffinity` says,
+    or, where `affinity` is false, as `os.cpu_count` says to a caller that
+    finds no `os.sched_getaffinity`."""
+    getaffinity = (lambda pid: set(range(cpus))) if affinity else mock.Mock(side_effect=AttributeError)
+    return mock.patch.multiple(os, cpu_count=lambda: cpus, sched_getaffinity=getaffinity, create=True)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10**4), st.integers(0, 10**6), st.booleans())
+def test_the_worker_count_is_bounded(cpus, candidates, affinity):
+    minimum = cli._MIN_PER_WORKER
+    with cpus_available(cpus, affinity), mock.patch.object(os, "fork", side_effect=AssertionError, create=True):
+        workers = cli._worker_count(candidates)
+    assert 1 <= workers <= cpus
+    assert workers == 1 or workers <= candidates // minimum
+    if candidates < 2 * minimum:
+        assert workers == 1
+    if hasattr(os, "fork"):
+        assert workers == min(cpus, max(1, candidates // minimum))
+
+
+def test_a_live_thread_keeps_the_cohort_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    many = 8 * cli._MIN_PER_WORKER
+    assert cli._worker_count(many) == (8 if hasattr(os, "fork") else 1)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert cli._worker_count(many) == 1
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert cli._worker_count(many) == 1
+
+
+@needs_fork
+@pytest.mark.parametrize("handler", [signal.SIG_IGN, lambda signum, frame: None],
+                         ids=["ignored", "handled"])
+def test_a_sigchld_disposition_keeps_the_cohort_in_process(handler, monkeypatch):
+    """An ignored SIGCHLD reaps each child as it ends, and a handler may
+    reap it too; either would take a worker's status from the parent."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    many = 8 * cli._MIN_PER_WORKER
+    previous = signal.signal(signal.SIGCHLD, handler)
+    try:
+        assert cli._worker_count(many) == 1
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert cli._worker_count(many) == 8
