@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import gc
 import inspect
 import json
@@ -7,11 +8,13 @@ import os
 import random
 import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
 import threading
-from contextlib import contextmanager
+import time
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -396,6 +399,10 @@ def test_output_as_of_a_year_uses_no_later_record(ds, offset, filters, window):
             assert full._replace(err=full.err.replace(str(full_path), str(cut_path))) == cut, argv
 
 
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo and /dev/null")
+needs_unix_socket = pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="needs AF_UNIX")
+
+
 class TestCohort:
     def make_manifest(self, tmp_path):
         rows = ["candidate_id,selected,call_year,career_start_year,path"]
@@ -503,20 +510,54 @@ class TestCohort:
         ("", "{path}: not a regular file"),
         ("manifest.csv", "{path}: counts file: expected header 'year,count', "
                          "got 'candidate_id,selected,call_year,career_start_year,path'"),
-    ], ids=["directory", "missing", "manifest_directory", "manifest_itself"])
+        pytest.param("/dev/null", "{path}: not a regular file", marks=needs_fifo),
+        pytest.param("link", "{path}: not a regular file", marks=needs_fifo),
+        pytest.param("socket", "{path}: not a regular file", marks=needs_unix_socket),
+    ], ids=["directory", "missing", "manifest_directory", "manifest_itself", "device",
+            "link_to_fifo", "socket"])
     def test_a_bad_candidate_path_is_named(self, name, message, tmp_path, capsys):
         """The first row names a directory, a missing file, "" (the
-        manifest's own directory) or the manifest itself; the second row is
-        good. The run names the path in one line and writes no table."""
+        manifest's own directory), the manifest itself, a device, a symlink
+        to a FIFO that no one writes to, or a socket, which cannot be opened;
+        the second row is good. The run names the path in one line and
+        writes no table, and waits for no writer."""
         (tmp_path / "sub").mkdir()
         (tmp_path / "ok.csv").write_text("year,count\n2000,3\n2001,4\n2002,5\n2003,6\n")
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("candidate_id,selected,call_year,career_start_year,path\n"
                             f"a,true,2005,,{name}\nb,false,2005,,ok.csv\n")
-        assert main(["cohort", str(manifest)]) == 1
+        with ExitStack() as stack:
+            if name == "link":
+                os.mkfifo(tmp_path / "pipe")
+                (tmp_path / "link").symlink_to("pipe")
+            elif name == "socket":
+                stack.enter_context(socket.socket(socket.AF_UNIX)).bind(str(tmp_path / name))
+            with deadline(5, AssertionError):  # not an OSError, which the read would name
+                assert main(["cohort", str(manifest)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"impact-vitality: error: {message.format(path=tmp_path / name)}\n"
+
+    def test_a_candidate_file_is_opened_once_and_never_stated(self, tmp_path, monkeypatch):
+        """Each candidate file's one open also gives its type, by fstat on
+        the open file: no os.stat of the path comes before it."""
+        manifest = write_cohort(tmp_path)
+        candidates = {str(tmp_path / entry["path"])
+                      for entry in parse_manifest(Path(manifest).read_text())}
+
+        def logged(call, paths):
+            def logging_call(path, *args, **kwargs):
+                paths.append(str(path))
+                return call(path, *args, **kwargs)
+            return logging_call
+
+        opened, stated = [], []
+        monkeypatch.setattr(os, "open", logged(os.open, opened))
+        monkeypatch.setattr(os, "stat", logged(os.stat, stated))
+        run, _ = run_cohort(monkeypatch, ["cohort", manifest], 1)
+        assert run.status == 0
+        assert sorted(path for path in opened if path in candidates) == sorted(candidates)
+        assert not candidates.intersection(stated)
 
 
 # How a copy of a file is made from its "\n"-ended UTF-8 bytes.
@@ -1285,6 +1326,34 @@ def test_an_interrupt_reaps_every_worker(tmp_path, monkeypatch):
     assert_no_child_is_left()
 
 
+@needs_fork
+@pytest.mark.parametrize("call, error", [
+    ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    ("pipe", OSError(errno.EMFILE, "Too many open files")),
+], ids=["fork", "pipe"])
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failed_fork_or_pipe_profiles_in_process(call, error, failing, tmp_path, monkeypatch):
+    """The `failing`-th os.fork or os.pipe call fails, as at a limit on
+    processes or open files: the worker already started is killed and
+    reaped, and the candidates are profiled in process, with its bytes."""
+    manifest = write_cohort(tmp_path)
+    argv = ["cohort", manifest, "--format", "json"]
+    expected, _ = run_cohort(monkeypatch, argv, 1)
+    real, calls = getattr(os, call), []
+
+    def fail_once(*args):
+        calls.append(args)
+        if len(calls) == failing:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(os, call, fail_once)
+    run, forked = run_cohort(monkeypatch, argv, 2)
+    assert expected.status == 0 and expected.writes == 1
+    assert run == expected and len(forked) == failing - 1
+    assert_no_child_is_left()
+
+
 def cpus_available(cpus: int, affinity: bool):
     """This process may run on `cpus` CPUs, as `os.sched_getaffinity` says,
     or, where `affinity` is false, as `os.cpu_count` says to a caller that
@@ -1319,6 +1388,11 @@ def test_a_live_thread_keeps_the_cohort_in_process(monkeypatch):
     finally:
         release.set()
         thread.join()
+        # The OS lists a joined thread for a moment after join() returns; a
+        # test that counts threads next must not see it.
+        with deadline(5):
+            while cli._thread_count() > 1:
+                time.sleep(0.001)
     monkeypatch.delattr(os, "fork", raising=False)
     assert cli._worker_count(many) == 1
 

@@ -195,11 +195,7 @@ def test_stdout_does_not_depend_on_sum(name, fixture_dir, monkeypatch):
     """The kernel adds its floats in a fixed order, so a compensated sum()
     in `indicators`, as on CPython 3.12, leaves every byte as it is."""
     monkeypatch.setattr(indicators, "sum", compensated_sum, raising=False)
-    indicators.harmonic.cache_clear()
-    try:
-        code, out, *_ = run_case(name, fixture_dir)
-    finally:
-        indicators.harmonic.cache_clear()
+    code, out, *_ = run_case(name, fixture_dir)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 

@@ -22,6 +22,8 @@ from impact_vitality import (
     iv_upper_bound,
     select_h_core,
 )
+from impact_vitality.indicators import harmonic
+from impact_vitality.model import YEAR_MAX, YEAR_MIN
 
 from conftest import SIMULATED_CASES, TABLE5_COUNTS, TABLE5_PRINTED_IV
 
@@ -89,6 +91,25 @@ class TestImpactVitality:
         with pytest.raises(ValueError) as info:
             impact_vitality(counts)
         assert str(info.value) == message
+
+    def test_the_harmonic_table_holds_harmonic_bits(self):
+        """The kernel looks H_n up in a table that covers every window the
+        year range allows; each entry has the bits of `harmonic(n)`."""
+        table = indicators._HARMONIC
+        assert len(table) == YEAR_MAX - YEAR_MIN + 2
+        assert [h.hex() for h in table] == [harmonic(n).hex() for n in range(len(table))]
+
+    def test_a_window_past_the_table_takes_harmonic(self):
+        """A library caller may pass a longer window than the table covers:
+        its value is the formula's with `harmonic(n)`, bit for bit."""
+        size = len(indicators._HARMONIC)
+        for n in (size - 1, size, size + 40):
+            counts = [1 + (7 * i) % 11 for i in range(n)]
+            weighted = 0.0
+            for age, count in enumerate(counts, start=1):
+                weighted += count / age
+            expected = (n * (weighted / sum(counts)) - 1.0) / (harmonic(n) - 1.0)
+            assert impact_vitality(counts).hex() == expected.hex()
 
 
 class TestIvUpperBound:
