@@ -187,17 +187,6 @@ def _year_arg(name: str, year: Optional[int]) -> Optional[int]:
     return year
 
 
-def _growing_window(first_counted: int, ds=None, career_start=None) -> FixedStart:
-    """The default window, a growing one. It starts at the first known of
-    these: the given career start, the dataset's career start, the dataset's
-    first citation year and `first_counted`, the first counted year."""
-    anchors = [career_start]
-    if ds is not None:
-        anchors += [ds.target.career_start_year, ds.target.first_citation_year]
-    anchors.append(first_counted)
-    return FixedStart(start_year=next(year for year in anchors if year is not None))
-
-
 def parse_window_arg(arg: str) -> WindowSpec:
     parts = arg.split(":")
     try:
@@ -238,11 +227,15 @@ def parse_filter_args(args: Sequence[str]) -> FilterSet:
     return FilterSet(exclude_self_citations=exclude_self, exclude_citing_only=citing_only)
 
 
-def _load(text: str, dataset: bool, last: Optional[int] = None, fs: FilterSet = FilterSet()):
-    """(counts, dataset) from the text of a dataset, or of a counts file with
-    dataset None. Only a dataset's records dated `last` or earlier count and
-    choose most-cited. `fs` is what `parse_filter_args` returns. Every error
-    is a data error, empty input included."""
+def _profile(text: str, dataset: bool, first: Optional[int] = None, last: Optional[int] = None,
+             spec: Optional[WindowSpec] = None, fs: FilterSet = FilterSet()):
+    """(profile, counts, dataset) of the text of a dataset, or of a counts
+    file with dataset None. Only the records and rows dated `last` or earlier
+    count, and only such records choose most-cited; `fs` is what
+    `parse_filter_args` returns. The window defaults to a growing one from the
+    dataset's career start, else its first citation year, else the first
+    counted year; `first` and `last` to the first and last counted year.
+    Every error is a data error, empty input included."""
     if not dataset:
         counts, ds = ivio.parse_counts(text), None
     else:
@@ -259,9 +252,20 @@ def _load(text: str, dataset: bool, last: Optional[int] = None, fs: FilterSet = 
         if fs.exclude_citing_only == "most-cited":
             fs = replace(fs, exclude_citing_only=most_cited_publication(ds))
         counts = yearly_citing_counts(ds, fs)
-    if not any(counts.counts.values()):
-        raise ValueError("no citing publications to profile")
-    return counts, ds
+    # Empty input: all counts zero, or all those dated `last` or earlier. Where
+    # no row is dated by then, the observation range is empty, as iv_profile says.
+    rows = counts.counts
+    if not any(n for year, n in rows.items() if last is None or year <= last):
+        if not any(rows.values()) or counts.min_year() <= last:
+            raise ValueError("no citing publications to profile")
+    if spec is None:
+        anchors = (ds.target.career_start_year, ds.target.first_citation_year) if ds else ()
+        spec = FixedStart(next((y for y in anchors if y is not None), counts.min_year()))
+    if first is None:
+        first = counts.min_year()
+    if last is None:
+        last = counts.max_year()
+    return iv_profile(counts, spec, first, last), counts, ds
 
 
 def cmd_validate(args) -> tuple[int, str]:
@@ -292,14 +296,7 @@ def cmd_profile(args) -> tuple[int, str]:
 
     path = args.counts if from_counts else args.dataset
     with _about(path):
-        counts, ds = _load(_read(path), not from_counts, last, fs)
-        if spec is None:
-            spec = _growing_window(counts.min_year(), ds)
-        if first is None:
-            first = counts.min_year()
-        if last is None:
-            last = counts.max_year()
-        profile = iv_profile(counts, spec, first, last)
+        profile = _profile(_read(path), not from_counts, first, last, spec, fs)[0]
     return 0, ivio.emit_report(profile, args.format)
 
 
@@ -307,17 +304,16 @@ def cmd_indicators(args) -> tuple[int, str]:
     year = _year_arg("--year", args.year)
     with _about(args.dataset):
         # As of `year`: only the records dated by then count, and only the
-        # publications out by then enter the h-core.
-        counts, ds = _load(_read(args.dataset), True, year)
+        # publications out by then enter the h-core. The latest point is the
+        # one for `year`: a growing window's total and length never fall, so
+        # no earlier year has a point when `year` has none.
+        profile, counts, ds = _profile(_read(args.dataset), True, year, year)
         if year is None:
             year = counts.max_year()
         per_pub = citation_counts_per_publication(ds, FilterSet())
         pubs = [(p.id, per_pub[p.id], p.year) for p in ds.publications if p.year <= year]
         core = select_h_core(pubs, year)
         h, ar = len(core), ar_index(core)
-        # The latest point is the one for `year`: a growing window's total and
-        # length never fall, so no earlier year has a point when `year` has none.
-        profile = iv_profile(counts, _growing_window(counts.min_year(), ds), year, year)
     latest = profile.points[-1] if profile.points else None
 
     if args.format == "json":
@@ -348,11 +344,11 @@ def _load_candidate(entry: dict, base: Path) -> CandidateProfile:
         text = _read(path, regular_only=True)
         # As `profile FILE --to <call year>`, with `--window fixed:<start>`
         # where the manifest gives the start.
-        counts, ds = _load(text, text.lstrip().startswith("{"), call_year)
-        if start is None and ds is not None:
-            start = ds.target.career_start_year
-        first = counts.min_year()
-        profile = iv_profile(counts, _growing_window(first, ds, start), first, call_year)
+        spec = None if start is None else FixedStart(start)
+        profile, counts, ds = _profile(text, text.lstrip().startswith("{"), last=call_year,
+                                       spec=spec)
+    if start is None and ds is not None:
+        start = ds.target.career_start_year
     return CandidateProfile(
         candidate_id=entry["candidate_id"],
         selected=entry["selected"],

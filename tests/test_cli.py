@@ -399,6 +399,37 @@ def test_output_as_of_a_year_uses_no_later_record(ds, offset, filters, window):
             assert full._replace(err=full.err.replace(str(full_path), str(cut_path))) == cut, argv
 
 
+@settings(max_examples=100, deadline=None)
+@given(valid_datasets(), st.none() | st.integers(0, 9))
+def test_indicators_reads_the_iv_point_of_profile(ds, offset):
+    """The IV of `indicators FILE --year Y` is the Y row of `profile FILE
+    --to Y`, or null where that profile has no such row; without --year it
+    is the newest row of `profile FILE`. Where one run fails, both fail with
+    the same line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp, "d.json"))
+        Path(path).write_text(emit_dataset(ds))
+        indicators = ["indicators", path, "--format", "json"]
+        profile = ["profile", path, "--format", "json"]
+        if offset is not None:
+            year = min(r.year for r in ds.citing_records) + offset
+            indicators += ["--year", str(year)]
+            profile += ["--to", str(year)]
+        ind, prof = run_main(indicators), run_main(profile)
+    if prof.status != 0:
+        assert (ind.status, ind.err) == (prof.status, prof.err)
+        return
+    iv, rows = json.loads(ind.out)["impact_vitality"], json.loads(prof.out)
+    if offset is not None:
+        rows = [row for row in rows if row["observation_year"] == year]
+    if not rows:
+        assert iv is None
+        return
+    keys = ("observation_year", "window_length", "total_citing", "zero_year_flag")
+    assert {key: iv[key] for key in keys} == {key: rows[0][key] for key in keys}
+    assert iv["value_raw"] == rows[0]["iv_value_raw"]
+
+
 needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo and /dev/null")
 needs_unix_socket = pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="needs AF_UNIX")
 
@@ -708,21 +739,31 @@ def test_exit_code_rule(case, code, tmp_path, table5_csv, dataset_file, empty_da
         (["cohort", "m_csv.csv"], "empty.csv", "no citing publications to profile"),
         (["cohort", "m_zero.csv"], "zero.csv", "no citing publications to profile"),
         (["cohort", "m_json.csv"], "empty.json", "dataset has no citing records"),
+        (["profile", "--counts", "later.csv", "--to", "2003"], "later.csv",
+         "no citing publications to profile"),
+        (["profile", "--counts", "later.csv", "--to", "2003", "--format", "json"], "later.csv",
+         "no citing publications to profile"),
+        (["cohort", "m_later.csv"], "later.csv", "no citing publications to profile"),
     ],
     ids=["profile", "profile_most_cited", "indicators", "profile_to", "profile_to_most_cited",
          "indicators_year", "all_filtered_out", "counts", "counts_all_zero", "cohort_counts",
-         "cohort_counts_all_zero", "cohort_dataset"],
+         "cohort_counts_all_zero", "cohort_dataset", "counts_zero_to", "counts_zero_to_json",
+         "cohort_counts_zero_to_call"],
 )
 def test_empty_input_has_one_diagnostic_per_cause(argv, named, message, tmp_path, capsys):
     """d.json holds 6 records from 2001 to 2003, each citing pA alone;
     empty.json holds none, empty.csv only its header, and zero.csv a count
-    of 0 for each year from 2000 to 2005."""
+    of 0 for each year from 2000 to 2005. later.csv counts 0 for each year
+    from 2000 to 2002 and 5 in 2005: as of 2003 (every manifest's call
+    year) it holds no citing publication, whatever it counts later."""
     records = [(f"c{i}", 2001 + i % 3, {"pA"}) for i in range(6)]
     (tmp_path / "d.json").write_text(emit_dataset(make_dataset([("pA", 2000), ("pB", 2000)], records)))
     (tmp_path / "empty.json").write_text(emit_dataset(make_dataset([("pA", 2000)], [])))
     (tmp_path / "empty.csv").write_text("year,count\n")
     (tmp_path / "zero.csv").write_text("year,count\n" + "".join(f"{y},0\n" for y in range(2000, 2006)))
-    for manifest, name in [("m_csv", "empty.csv"), ("m_json", "empty.json"), ("m_zero", "zero.csv")]:
+    (tmp_path / "later.csv").write_text("year,count\n2000,0\n2001,0\n2002,0\n2005,5\n")
+    for manifest, name in [("m_csv", "empty.csv"), ("m_json", "empty.json"), ("m_zero", "zero.csv"),
+                           ("m_later", "later.csv")]:
         (tmp_path / f"{manifest}.csv").write_text(
             f"candidate_id,selected,call_year,career_start_year,path\nA,true,2003,,{name}\n"
         )
@@ -1164,6 +1205,26 @@ def test_from_defaults_to_the_first_counted_year(run):
             assert got == (
                 1, "", f"impact-vitality: error: {path}: empty observation range [{first}, {to}]\n", 0
             )
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts_runs())
+@example(({1990: 0, 1991: 0, 1992: 0, 1993: 0, 1994: 0, 2005: 5}, None, 2000))
+def test_counts_as_of_a_year_are_the_counts_cut_there(run):
+    """`profile --counts FILE --to Y` prints the same as for FILE cut after Y,
+    where FILE has a row dated Y or earlier: later rows change nothing, not
+    even whether there is anything to profile."""
+    counts, window, to = run
+    to = max(min(counts), to if to is not None else max(counts))
+    with tempfile.TemporaryDirectory() as tmp:
+        full_path, cut_path = str(Path(tmp, "full.csv")), str(Path(tmp, "cut.csv"))
+        Path(full_path).write_text(emit_counts(YearlyCitingCounts(counts)))
+        cut = {year: n for year, n in counts.items() if year <= to}
+        Path(cut_path).write_text(emit_counts(YearlyCitingCounts(cut)))
+        argv = ["--to", str(to), "--format", "json"] + (["--window", window] if window else [])
+        full, cut = (run_main(["profile", "--counts", path, *argv]) for path in (full_path, cut_path))
+    # A message names its file: the cut file's name stands for both.
+    assert full._replace(err=full.err.replace(full_path, cut_path)) == cut
 
 
 # Cohort worker processes. Above cli._MIN_PER_WORKER candidates per worker,
