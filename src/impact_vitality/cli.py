@@ -25,7 +25,7 @@ from typing import NoReturn, Optional, Sequence
 from . import cohort
 from . import io as ivio
 from . import model
-from .cohort import CandidateProfile, RangeStat
+from .cohort import RangeStat
 from .filters import FilterSet, most_cited_publication
 from .indicators import (
     FixedStart,
@@ -337,7 +337,9 @@ def cmd_indicators(args) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _load_candidate(entry: dict, base: Path) -> CandidateProfile:
+def _candidate_row(entry: dict, base: Path) -> tuple:
+    """(selected, row) of a manifest entry: all that the cohort statistics
+    read of a candidate, and all that a worker process sends back."""
     path = str(base / entry["path"])
     call_year, start = entry["call_year"], entry["career_start_year"]
     with _about(path):
@@ -349,21 +351,8 @@ def _load_candidate(entry: dict, base: Path) -> CandidateProfile:
                                        spec=spec)
     if start is None and ds is not None:
         start = ds.target.career_start_year
-    return CandidateProfile(
-        candidate_id=entry["candidate_id"],
-        selected=entry["selected"],
-        call_year=call_year,
-        career_start_year=start,
-        profile=profile,
-        yearly_counts=counts,
-    )
-
-
-def _candidate_row(entry: dict, base: Path) -> tuple:
-    """(selected, row) of a manifest entry: all that the cohort statistics
-    read of a candidate, and all that a worker process sends back."""
-    candidate = _load_candidate(entry, base)
-    return candidate.selected, cohort.candidate_row(candidate)
+    return entry["selected"], cohort.candidate_row(entry["candidate_id"], profile, counts,
+                                                   call_year, start)
 
 
 def _worker_count(candidates: int) -> int:
@@ -572,24 +561,33 @@ def main(argv: Optional[list[str]] = None) -> int:
     finally:
         if gc_was_enabled:
             gc.enable()
+    if sys.stdout is None:  # fd 1 was closed when Python started
+        _diagnose("error: standard output closed")
+        return 1
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone. Pointing fd 1 at os.devnull keeps the flush at
-        # interpreter exit from failing a second time.
+    except OSError as exc:
+        # The reader has gone, or the device is full. Pointing fd 1 at
+        # os.devnull keeps the flush at interpreter exit from failing again.
         _to_devnull(sys.stdout)
-        _diagnose("error: standard output closed")
+        if isinstance(exc, BrokenPipeError):
+            _diagnose("error: standard output closed")
+        else:
+            _diagnose(f"error: cannot write standard output: {exc.strerror}")
         return 1
     return status
 
 
 def _diagnose(message: str) -> None:
     """`message` on stderr as one line that starts with the program name.
-    With no reader on stderr the line is lost, but the exit status is not."""
+    Where stderr cannot be written (no reader, a full device, a closed fd)
+    the line is lost, but the exit status is not."""
+    if sys.stderr is None:  # print(file=None) would write to stdout
+        return
     try:
         print(f"{PROG}: {message.translate(_LINE_BREAKS)}", file=sys.stderr, flush=True)
-    except BrokenPipeError:
+    except OSError:
         _to_devnull(sys.stderr)
 
 

@@ -94,17 +94,17 @@ def _mean_citing(counts: YearlyCitingCounts, first_year: int, last_year: int) ->
     return fmean([get(y, 0) for y in range(first_year, last_year + 1)])
 
 
-def candidate_row(c: CandidateProfile) -> tuple:
+def candidate_row(candidate_id: str, profile: IVProfile, counts: YearlyCitingCounts,
+                  call_year: int, career_start_year: Optional[int]) -> tuple:
     """Minimum, fluctuation, 5-year and since-start citing means; None if
     undefined. Floats and None only, so `marshal` carries a row exactly."""
-    if not c.profile.values:
-        raise ValueError(f"candidate {c.candidate_id!r} has an empty profile")
-    call, counts, start = c.call_year, c.yearly_counts, c.career_start_year
+    if not profile.values:
+        raise ValueError(f"candidate {candidate_id!r} has an empty profile")
     return (
-        profile_min(c.profile),
-        profile_fluctuation(c.profile, call),
-        _mean_citing(counts, call - CALL_SPAN + 1, call),
-        None if start is None else _mean_citing(counts, start, call),
+        profile_min(profile),
+        profile_fluctuation(profile, call_year),
+        _mean_citing(counts, call_year - CALL_SPAN + 1, call_year),
+        None if career_start_year is None else _mean_citing(counts, career_start_year, call_year),
     )
 
 
@@ -133,7 +133,11 @@ def cohort_summary(candidates: Iterable[CandidateProfile]) -> dict[str, CohortSt
     since-start citing average covers only candidates with a known career
     start year.
     """
-    return summarize_rows((c.selected, candidate_row(c)) for c in candidates)
+    return summarize_rows(
+        (c.selected, candidate_row(c.candidate_id, c.profile, c.yearly_counts, c.call_year,
+                                   c.career_start_year))
+        for c in candidates
+    )
 
 
 def summarize_rows(rows: Iterable[tuple[bool, tuple]]) -> dict[str, CohortStats]:

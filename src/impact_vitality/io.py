@@ -16,6 +16,7 @@ import re
 from operator import attrgetter, itemgetter
 from typing import Any, Iterator, Optional
 
+from . import model as _model
 from .indicators import IVProfile
 from .model import (
     AuthorKey,
@@ -347,6 +348,11 @@ def _plain_counts(document: str) -> Optional[dict[int, int]]:
     its years are distinct and in range and its counts at most MAX_COUNT;
     else None, and the csv walk in `parse_counts` reads the document or
     names its fault."""
+    # The regex keeps state for each row it repeats over: about 47 bytes per
+    # input byte. A header and a row per year in range is the most a plain
+    # document can hold, so a longer one, which repeats a year, skips it.
+    if document.count("\n") > _model.YEAR_MAX - _model.YEAR_MIN + 2:
+        return None
     match = _PLAIN_COUNTS.fullmatch(document)
     if match is None:
         return None

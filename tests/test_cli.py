@@ -15,6 +15,7 @@ import tempfile
 import threading
 import time
 from contextlib import ExitStack, contextmanager
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -907,14 +908,14 @@ def _dataset_with_record_years(path, years):
     path.write_text(emit_dataset(ds))
 
 
-def _run_cli(argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+def _run_cli(argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=None):
     """The CLI in a subprocess, with a timeout, so that a run that hangs
     fails the test instead of stalling the test run."""
     src = str(Path(impact_vitality.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "impact_vitality.cli", *argv],
-        cwd=cwd, env=env, stdout=stdout, stderr=stderr, text=True, timeout=10,
+        [sys.executable, "-m", "impact_vitality.cli", *argv], cwd=cwd, env=env,
+        stdout=stdout, stderr=stderr, preexec_fn=preexec_fn, text=True, timeout=10,
     )
 
 
@@ -980,6 +981,59 @@ def test_main_returns_its_status_when_stdout_and_stderr_are_closed(extra, code, 
         for _, write in pipes:
             os.close(write)
     assert status == code
+
+
+STREAM_FAULT_RUNS = {
+    "success": (["profile", "--counts", "c.csv"], 0),
+    "usage_error": (["profile", "--counts", "c.csv", "--window", "bogus"], 2),
+    "data_error": (["profile", "--counts", "missing.csv"], 1),
+    "help": (["--help"], 0),
+}
+
+# What a run whose stdout has this fault says, once its text is ready.
+STDOUT_FAULT_LINES = {
+    "closed_pipe": "impact-vitality: error: standard output closed\n",
+    "full_device": "impact-vitality: error: cannot write standard output: No space left on device\n",
+    "closed_fd": "impact-vitality: error: standard output closed\n",
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("run", sorted(STREAM_FAULT_RUNS))
+@pytest.mark.parametrize("fault", sorted(STDOUT_FAULT_LINES))
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_a_stream_fault_is_a_named_error(stream, fault, run, tmp_path):
+    """A reader that has gone, a full device or a closed descriptor, on
+    stdout or on stderr: the run exits with the status of its own result,
+    or 1 where stdout lost its text, and stderr holds at most one
+    `impact-vitality:` line, never a traceback. A usage error exits 2
+    whatever the state of stderr."""
+    _write_cli_inputs(tmp_path)
+    argv, code = STREAM_FAULT_RUNS[run]
+    fd = 1 if stream == "stdout" else 2
+    with ExitStack() as stack:
+        target, preexec_fn = None, None
+        if fault == "closed_pipe":
+            read, target = os.pipe()
+            os.close(read)
+            stack.callback(os.close, target)
+        elif fault == "full_device":
+            target = stack.enter_context(open("/dev/full", "w"))
+        else:
+            preexec_fn = partial(os.close, fd)
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: target}
+        done = _run_cli(argv, tmp_path, preexec_fn=preexec_fn, **streams)
+    seen = done.stderr if stream == "stdout" else done.stdout
+    assert "Traceback" not in seen
+    if stream == "stdout":
+        if code == 0:  # the text was ready, and stdout could not take it
+            assert (done.returncode, done.stderr) == (1, STDOUT_FAULT_LINES[fault])
+        else:
+            assert done.returncode == code
+            assert done.stderr.startswith("impact-vitality: ") and done.stderr.count("\n") == 1
+    else:
+        assert done.returncode == code
+        assert bool(done.stdout) == (code == 0)
 
 
 @pytest.mark.parametrize(
@@ -1106,8 +1160,9 @@ def candidates(draw):
 def test_a_candidate_is_profiled_as_profile_to_its_call_year(candidate):
     """A one-candidate cohort fails with the line of `profile FILE --to
     <call year>`, plus `--window fixed:<start>` where the manifest gives a
-    career start; or the candidate's points are that profile's; or, where
-    that profile has no row, the cohort names the candidate's empty profile."""
+    career start; or the candidate's minimum and fluctuation are that
+    profile's; or, where that profile has no row, the cohort names the
+    candidate's empty profile."""
     text, dataset, call_year, start = candidate
     with tempfile.TemporaryDirectory() as tmp:
         name = "c.json" if dataset else "c.csv"
@@ -1128,10 +1183,12 @@ def test_a_candidate_is_profiled_as_profile_to_its_call_year(candidate):
             )
         else:
             assert run.status == 0
-            loaded = cli._load_candidate(parse_manifest(Path(manifest).read_text())[0], Path(tmp))
-            assert {p.observation_year: p.value for p in loaded.profile.points} == {
-                row["observation_year"]: row["iv_value_raw"] for row in json.loads(profile.out)
-            }
+            values = {row["observation_year"]: row["iv_value_raw"] for row in json.loads(profile.out)}
+            span = [values.get(y) for y in range(call_year - cohort.CALL_SPAN + 1, call_year + 1)]
+            fluctuation = None if None in span else max(span) - min(span)
+            entry = parse_manifest(Path(manifest).read_text())[0]
+            selected, row = cli._candidate_row(entry, Path(tmp))
+            assert (selected, row[:2]) == (True, (min(values.values()), fluctuation))
 
 
 @pytest.mark.parametrize(

@@ -17,11 +17,14 @@ from pathlib import Path
 import pytest
 
 from impact_vitality import (
+    CandidateProfile,
+    FixedStart,
     YearlyCitingCounts,
     emit_counts,
     emit_dataset,
+    parse_manifest,
 )
-from impact_vitality import indicators, model
+from impact_vitality import cli, cohort, indicators, model
 from impact_vitality.cli import main
 
 from conftest import (
@@ -212,6 +215,26 @@ def test_cohort_builds_no_point(name, fixture_dir, monkeypatch):
     monkeypatch.setattr(indicators, "IVPoint", no_point)
     assert run_case(name, fixture_dir) == expected
     assert expected.status == 0
+
+
+def test_the_library_and_cli_routes_summarize_alike(fixture_dir):
+    """`cohort_summary` over `CandidateProfile`s built from `cli._profile`
+    equals the fold of the CLI's rows: both routes give `candidate_row` the
+    same fields in the same order."""
+    entries = parse_manifest((fixture_dir / "manifest.csv").read_text())
+    candidates = []
+    for entry in entries:
+        start = entry["career_start_year"]
+        profile, counts, ds = cli._profile(
+            (fixture_dir / entry["path"]).read_text(), entry["path"].endswith(".json"),
+            last=entry["call_year"], spec=None if start is None else FixedStart(start),
+        )
+        if start is None and ds is not None:
+            start = ds.target.career_start_year
+        candidates.append(CandidateProfile(entry["candidate_id"], entry["selected"],
+                                           entry["call_year"], profile, counts, start))
+    rows = [cli._candidate_row(entry, fixture_dir) for entry in entries]
+    assert cohort.cohort_summary(candidates) == cohort.summarize_rows(rows)
 
 
 @pytest.mark.parametrize("year_max", [2009, 2100])  # the latest fixture year, and far ahead

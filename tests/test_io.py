@@ -1,7 +1,9 @@
 import dataclasses
 import importlib
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -864,6 +866,47 @@ def test_plain_counts_parse_as_the_csv_walk_parses(counts):
     assert parse_counts(document).counts == counts
     with mock.patch.object(iv_io, "_plain_counts", return_value=None):
         assert parse_counts(document).counts == counts
+
+
+def test_the_plain_form_holds_at_most_a_row_per_year_in_range(monkeypatch):
+    """A plain document with a row for every year in range takes the fast
+    path; one more row must repeat a year, and the document is left to the
+    csv walk before the regex runs. The bound follows the year bound."""
+    every_year = emit_counts(YearlyCitingCounts(dict.fromkeys(range(YEAR_MIN, YEAR_MAX + 1), 1)))
+    assert iv_io._plain_counts(every_year) == dict.fromkeys(range(YEAR_MIN, YEAR_MAX + 1), 1)
+    with mock.patch.object(iv_io, "_PLAIN_COUNTS") as regex:
+        assert iv_io._plain_counts(every_year + f"{YEAR_MIN},1\n") is None
+        monkeypatch.setattr("impact_vitality.model.YEAR_MAX", YEAR_MAX - 1)
+        assert iv_io._plain_counts(every_year) is None
+    assert not regex.mock_calls
+
+
+_REPEATED_ROW_PEAK = """
+import resource, sys
+from impact_vitality.io import FormatError, parse_counts
+document = "year,count\\n" + "2000,1\\n" * (4 * 2**20 // 7)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    parse_counts(document)
+except FormatError as exc:
+    print(exc)
+scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * scale / len(document))
+"""
+
+
+def test_a_repeated_row_counts_file_needs_a_few_bytes_per_input_byte():
+    """A 4 MiB counts file of one repeated row once needed 47 bytes of peak
+    memory per input byte, nearly all of it the fast path's regex. Measured
+    in a child process, whose peak no other test has raised."""
+    pytest.importorskip("resource")
+    src = str(Path(iv_io.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _REPEATED_ROW_PEAK], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    message, per_byte = done.stdout.splitlines()
+    assert message == "counts file line 3: duplicate year 2000"
+    assert float(per_byte) < 8
 
 
 class TestReportEmission:
