@@ -8,9 +8,9 @@ but no computation reads them.
 """
 
 from .cohort import (
-    CandidateProfile,
     CohortStats,
     RangeStat,
+    candidate_row,
     cohort_summary,
     profile_fluctuation,
     profile_min,
@@ -56,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuthorKey",
-    "CandidateProfile",
     "CitationDataset",
     "CitingRecord",
     "CohortStats",
@@ -75,6 +74,7 @@ __all__ = [
     "YearlyCitingCounts",
     "apply_filters",
     "ar_index",
+    "candidate_row",
     "citation_counts_per_publication",
     "cites_only",
     "cohort_summary",

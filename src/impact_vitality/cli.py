@@ -466,7 +466,7 @@ def cmd_cohort(args) -> tuple[int, str]:
             candidate_rows = _rows_from_workers(entries, base, workers, args.manifest)
         if candidate_rows is None:
             candidate_rows = map(_candidate_row, entries, repeat(base))
-        summary = cohort.summarize_rows(candidate_rows)
+        summary = cohort.cohort_summary(candidate_rows)
     rows = _cohort_rows()
 
     if args.format == "json":

@@ -19,24 +19,6 @@ CALL_SPAN = 5  # the "5 years until call", inclusive, of IV fluctuation and citi
 
 
 @dataclass(frozen=True)
-class CandidateProfile:
-    candidate_id: str
-    selected: bool
-    call_year: int
-    profile: IVProfile
-    yearly_counts: YearlyCitingCounts
-    career_start_year: Optional[int] = None
-
-    def __post_init__(self):
-        years = self.profile.observation_years  # ascending, so the last is the latest
-        if years and years[-1] > self.call_year:
-            raise ValueError(
-                f"candidate {self.candidate_id!r} has IV points after call year "
-                f"{self.call_year}"
-            )
-
-
-@dataclass(frozen=True)
 class RangeStat:
     min: float
     max: float
@@ -100,6 +82,8 @@ def candidate_row(candidate_id: str, profile: IVProfile, counts: YearlyCitingCou
     undefined. Floats and None only, so `marshal` carries a row exactly."""
     if not profile.values:
         raise ValueError(f"candidate {candidate_id!r} has an empty profile")
+    if profile.observation_years[-1] > call_year:  # ascending, so the last is the latest
+        raise ValueError(f"candidate {candidate_id!r} has IV points after call year {call_year}")
     return (
         profile_min(profile),
         profile_fluctuation(profile, call_year),
@@ -122,27 +106,15 @@ def _group_stats(rows: list[tuple]) -> CohortStats:
     )
 
 
-def cohort_summary(candidates: Iterable[CandidateProfile]) -> dict[str, CohortStats]:
-    """Group summaries for selected vs not-selected candidates.
-
-    Reduces each candidate of any iterable to a row as it arrives, so an
-    error names the first candidate, in iteration order, that fails.
+def cohort_summary(rows: Iterable[tuple[bool, tuple]]) -> dict[str, CohortStats]:
+    """Group summaries for selected vs not-selected candidates, of the
+    (selected, `candidate_row`) pairs that any iterable `rows` yields.
 
     Candidates whose fluctuation is undefined are excluded from the
     fluctuation aggregate but contribute to every other statistic; the
     since-start citing average covers only candidates with a known career
     start year.
     """
-    return summarize_rows(
-        (c.selected, candidate_row(c.candidate_id, c.profile, c.yearly_counts, c.call_year,
-                                   c.career_start_year))
-        for c in candidates
-    )
-
-
-def summarize_rows(rows: Iterable[tuple[bool, tuple]]) -> dict[str, CohortStats]:
-    """`cohort_summary` of the candidates whose (selected, `candidate_row`)
-    pairs `rows` yields, in the same order."""
     selected, not_selected = [], []
     for is_selected, row in rows:
         (selected if is_selected else not_selected).append(row)

@@ -445,7 +445,7 @@ def parse_manifest(document: str) -> list[dict]:
     """Parse a cohort manifest CSV.
 
     Columns: candidate_id,selected,call_year,career_start_year,path.
-    career_start_year may be blank; candidate ids are unique.
+    career_start_year may be blank, path may not; candidate ids are unique.
     """
     header = ("candidate_id", "selected", "call_year", "career_start_year", "path")
     entries = []
@@ -465,13 +465,16 @@ def parse_manifest(document: str) -> list[dict]:
             raise FormatError(f"manifest line {lineno}: non-integer year") from None
         _check_year(f"manifest line {lineno}: call_year", call_year)
         _check_year(f"manifest line {lineno}: career_start_year", start)
+        path = row[4].strip()
+        if not path:
+            raise FormatError(f"manifest line {lineno}: empty path")
         entries.append(
             {
                 "candidate_id": candidate_id,
                 "selected": sel in {"true", "1", "yes"},
                 "call_year": call_year,
                 "career_start_year": start,
-                "path": row[4].strip(),
+                "path": path,
             }
         )
     return entries

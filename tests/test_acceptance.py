@@ -12,12 +12,12 @@ import time
 import pytest
 
 from impact_vitality import (
-    CandidateProfile,
     FilterSet,
     FixedStart,
     YearlyCitingCounts,
     apply_filters,
     ar_index,
+    candidate_row,
     cohort_summary,
     emit_counts,
     h_index,
@@ -189,14 +189,7 @@ def test_criterion_7_cohort_discrimination():
     def build_candidate(cid, selected, counts_map, start):
         counts = YearlyCitingCounts(counts_map)
         profile = iv_profile(counts, FixedStart(start, 4), start, call_year)
-        return CandidateProfile(
-            candidate_id=cid,
-            selected=selected,
-            call_year=call_year,
-            career_start_year=start,
-            profile=profile,
-            yearly_counts=counts,
-        )
+        return selected, candidate_row(cid, profile, counts, call_year, start)
 
     growers = []
     for i in range(8):

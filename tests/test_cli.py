@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from pathlib import Path
@@ -539,19 +540,19 @@ class TestCohort:
     @pytest.mark.parametrize("name, message", [
         ("sub", "{path}: not a regular file"),
         ("missing.csv", "cannot read {path}: No such file or directory"),
-        ("", "{path}: not a regular file"),
+        ("", "{manifest}: manifest line 2: empty path"),
         ("manifest.csv", "{path}: counts file: expected header 'year,count', "
                          "got 'candidate_id,selected,call_year,career_start_year,path'"),
         pytest.param("/dev/null", "{path}: not a regular file", marks=needs_fifo),
         pytest.param("link", "{path}: not a regular file", marks=needs_fifo),
         pytest.param("socket", "{path}: not a regular file", marks=needs_unix_socket),
-    ], ids=["directory", "missing", "manifest_directory", "manifest_itself", "device",
+    ], ids=["directory", "missing", "blank", "manifest_itself", "device",
             "link_to_fifo", "socket"])
     def test_a_bad_candidate_path_is_named(self, name, message, tmp_path, capsys):
-        """The first row names a directory, a missing file, "" (the
-        manifest's own directory), the manifest itself, a device, a symlink
-        to a FIFO that no one writes to, or a socket, which cannot be opened;
-        the second row is good. The run names the path in one line and
+        """The first row names a directory, a missing file, "" (which the
+        manifest's parse refuses, before any candidate is read), the manifest
+        itself, a device, a symlink to a FIFO that no one writes to, or a
+        socket, which cannot be opened; the second row is good. The run names the path in one line and
         writes no table, and waits for no writer."""
         (tmp_path / "sub").mkdir()
         (tmp_path / "ok.csv").write_text("year,count\n2000,3\n2001,4\n2002,5\n2003,6\n")
@@ -568,7 +569,8 @@ class TestCohort:
                 assert main(["cohort", str(manifest)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"impact-vitality: error: {message.format(path=tmp_path / name)}\n"
+        expected = message.format(path=tmp_path / name, manifest=manifest)
+        assert err == f"impact-vitality: error: {expected}\n"
 
     def test_a_candidate_file_is_opened_once_and_never_stated(self, tmp_path, monkeypatch):
         """Each candidate file's one open also gives its type, by fstat on
@@ -1372,6 +1374,48 @@ def test_workers_give_the_in_process_bytes(fmt, tmp_path, monkeypatch):
         assert_no_child_is_left()
     assert runs[1].status == 0 and runs[1].err == "" and runs[1].writes == 1
     assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_the_cohort_command_folds_once_through_cohort_summary(fmt, tmp_path, monkeypatch):
+    """In process and with workers, `cohort` folds its rows with one call of
+    `cohort.cohort_summary`, the function that the benchmark's span names."""
+    manifest = write_cohort(tmp_path)
+    calls, fold = [], cohort.cohort_summary
+
+    def counted(rows):
+        calls.append(None)
+        return fold(rows)
+
+    monkeypatch.setattr(cohort, "cohort_summary", counted)
+    outs = {}
+    for workers in (1, 2) if hasattr(os, "fork") else (1,):
+        calls.clear()
+        run, _ = run_cohort(monkeypatch, ["cohort", manifest, "--format", fmt], workers)
+        assert run.status == 0 and run.err == ""
+        assert len(calls) == 1, f"{len(calls)} folds with {workers} worker(s)"
+        outs[workers] = run.out
+    assert all(out == outs[1] for out in outs.values())
+
+
+def test_the_cohort_command_reduces_each_candidate_as_it_arrives(tmp_path, monkeypatch):
+    """In process, when candidate i is profiled, every profile before
+    candidate i - 1 is gone: the run holds rows, not profiles."""
+    manifest = write_cohort(tmp_path, 30)
+    refs, row = [], cohort.candidate_row
+
+    def watched(candidate_id, profile, *rest):
+        i = len(refs)
+        assert all(ref() is None for ref in refs[:-1]), f"a profile before {i - 1} is alive"
+        refs.append(weakref.ref(profile))
+        return row(candidate_id, profile, *rest)
+
+    monkeypatch.setattr(cohort, "candidate_row", watched)
+    run, forked = run_cohort(monkeypatch, ["cohort", manifest, "--format", "json"], 1)
+    assert run.status == 0 and run.err == "" and forked == []
+    assert len(refs) == 30
+    summary = json.loads(run.out)
+    assert (summary["selected"]["group_size"], summary["not_selected"]["group_size"]) == (20, 10)
 
 
 BAD_CANDIDATES = {

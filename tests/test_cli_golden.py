@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from impact_vitality import (
-    CandidateProfile,
     FixedStart,
     YearlyCitingCounts,
     emit_counts,
@@ -218,11 +217,11 @@ def test_cohort_builds_no_point(name, fixture_dir, monkeypatch):
 
 
 def test_the_library_and_cli_routes_summarize_alike(fixture_dir):
-    """`cohort_summary` over `CandidateProfile`s built from `cli._profile`
-    equals the fold of the CLI's rows: both routes give `candidate_row` the
-    same fields in the same order."""
+    """`cohort_summary` of the rows a library caller builds, with
+    `cli._profile` and then `candidate_row`, equals that of the CLI's rows:
+    both routes give `candidate_row` the same fields in the same order."""
     entries = parse_manifest((fixture_dir / "manifest.csv").read_text())
-    candidates = []
+    library_rows = []
     for entry in entries:
         start = entry["career_start_year"]
         profile, counts, ds = cli._profile(
@@ -231,10 +230,10 @@ def test_the_library_and_cli_routes_summarize_alike(fixture_dir):
         )
         if start is None and ds is not None:
             start = ds.target.career_start_year
-        candidates.append(CandidateProfile(entry["candidate_id"], entry["selected"],
-                                           entry["call_year"], profile, counts, start))
-    rows = [cli._candidate_row(entry, fixture_dir) for entry in entries]
-    assert cohort.cohort_summary(candidates) == cohort.summarize_rows(rows)
+        library_rows.append((entry["selected"], cohort.candidate_row(
+            entry["candidate_id"], profile, counts, entry["call_year"], start)))
+    cli_rows = [cli._candidate_row(entry, fixture_dir) for entry in entries]
+    assert cohort.cohort_summary(library_rows) == cohort.cohort_summary(cli_rows)
 
 
 @pytest.mark.parametrize("year_max", [2009, 2100])  # the latest fixture year, and far ahead

@@ -1,16 +1,15 @@
 import math
-import weakref
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from impact_vitality import (
-    CandidateProfile,
     FixedStart,
     IVProfile,
     RangeStat,
     YearlyCitingCounts,
+    candidate_row,
     cohort_summary,
     iv_profile,
     profile_fluctuation,
@@ -34,17 +33,11 @@ def profile_from_values(values, first_year=2000, n=5):
 
 
 def candidate(cid, selected, values, call_year=None, counts=None, start=None):
+    """The (selected, `candidate_row`) pair that `cohort_summary` folds."""
     profile = profile_from_values(values)
     call = call_year if call_year is not None else profile.points[-1].observation_year
     counts = counts or {p.observation_year: 10 for p in profile.points}
-    return CandidateProfile(
-        candidate_id=cid,
-        selected=selected,
-        call_year=call,
-        career_start_year=start,
-        profile=profile,
-        yearly_counts=YearlyCitingCounts(counts),
-    )
+    return selected, candidate_row(cid, profile, YearlyCitingCounts(counts), call, start)
 
 
 class TestProfileMin:
@@ -204,27 +197,12 @@ class TestCohortSummary:
         with pytest.raises(ValueError):
             cohort_summary([])
 
-    def test_reduces_each_candidate_as_it_arrives(self):
-        """When candidate i is asked for, candidate i - 2's profile is gone;
-        the summary's loop may still hold candidate i - 1."""
-        refs = []
-
-        def stream():
-            for i in range(6):
-                assert all(ref() is None for ref in refs[:-1]), f"a profile before {i - 1} is alive"
-                c = candidate(f"c{i}", i % 2 == 0, [1.1 + i / 10] * 5, start=1998)
-                refs.append(weakref.ref(c.profile))
-                yield c
-
-        streamed = cohort_summary(stream())
-        assert streamed == cohort_summary(
-            [candidate(f"c{i}", i % 2 == 0, [1.1 + i / 10] * 5, start=1998) for i in range(6)]
-        )
-        assert streamed["selected"].group_size == streamed["not_selected"].group_size == 3
-
     def test_rejects_points_after_call(self):
-        with pytest.raises(ValueError):
-            candidate("x", True, [1.1] * 5, call_year=2001)
+        profile = profile_from_values([1.1] * 5)  # 2000 to 2004
+        counts = YearlyCitingCounts({2000: 10})
+        with pytest.raises(ValueError, match=r"^candidate 'x' has IV points after call year 2003$"):
+            candidate_row("x", profile, counts, 2003, None)
+        assert candidate_row("x", profile, counts, 2004, None)[0] == 1.1
 
     def test_multiplier_invariance_lifts(self):
         base = {1995 + i: 10 + 3 * i for i in range(10)}

@@ -895,18 +895,79 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * scale / le
 """
 
 
-def test_a_repeated_row_counts_file_needs_a_few_bytes_per_input_byte():
-    """A 4 MiB counts file of one repeated row once needed 47 bytes of peak
-    memory per input byte, nearly all of it the fast path's regex. Measured
-    in a child process, whose peak no other test has raised."""
+# A process's peak RSS (`ru_maxrss`) starts at the peak of the process that
+# started it, as an exec keeps it, so a child of a test run sees no growth
+# below the run's own peak. The script runs in a forked grandchild, whose
+# peak starts at the child's current size.
+_FRESH_PEAK = """
+import os, sys
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+"""
+
+
+def _child_lines(script: str, *argv: str) -> list[str]:
+    """The stdout lines of `script` run with a fresh peak RSS."""
     pytest.importorskip("resource")
     src = str(Path(iv_io.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", _REPEATED_ROW_PEAK], env=env,
+    done = subprocess.run([sys.executable, "-c", _FRESH_PEAK + script, *argv], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    message, per_byte = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+def test_a_repeated_row_counts_file_needs_a_few_bytes_per_input_byte():
+    """A 4 MiB counts file of one repeated row once needed 47 bytes of peak
+    memory per input byte, nearly all of it the fast path's regex."""
+    message, per_byte = _child_lines(_REPEATED_ROW_PEAK)
     assert message == "counts file line 3: duplicate year 2000"
     assert float(per_byte) < 8
+
+
+# Peak memory of a 4 MiB manifest or dataset parse per input byte, measured
+# from the measuring process's start, so the document's own bytes count. The document is
+# built in chunks of rows, which peaks at about twice its size, below the parse.
+_PARSE_PEAK = r"""
+import resource, sys
+from impact_vitality.io import parse_dataset, parse_manifest
+def peak():
+    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale
+start = peak()
+if sys.argv[1] == "manifest":
+    parse, head, tail = parse_manifest, "candidate_id,selected,call_year,career_start_year,path\n", ""
+    row = "k{0:07d},true,2004,1995,c{0:07d}.csv\n".format
+    size = len
+else:  # a dataset of bare records, indented as emit_dataset indents them
+    parse, head = parse_dataset, '{\n  "citing_records": [\n'
+    row = ('    {{\n      "authors": [],\n      "cited_target_pub_ids": [\n        "pA"\n      ],\n'
+           '      "doc_type": "article",\n      "id": "c{0:07d}",\n      "year": 2001\n    }},\n').format
+    tail = ('    {"authors": [], "cited_target_pub_ids": ["pA"], "doc_type": "article", '
+            '"id": "last", "year": 2001}\n  ],\n'
+            '  "publications": [{"doc_type": "article", "id": "pA", "year": 2000}],\n'
+            '  "schema_version": 1,\n'
+            '  "target": {"key": {"initials": "ja", "surname": "smith"}, "name_variants": []}\n}\n')
+    size = lambda ds: len(ds.citing_records) - 1
+rows = 4 * 2**20 // len(row(0))
+chunks = [head, *("".join(map(row, range(i, min(i + 4096, rows)))) for i in range(0, rows, 4096)), tail]
+document = "".join(chunks)
+del chunks
+built = peak()
+print(size(parse(document)) == rows, peak() > built)
+print((peak() - start) / len(document))
+"""
+
+
+@pytest.mark.parametrize("kind, bound", [
+    ("manifest", 20),  # about 16.7 bytes per input byte
+    ("dataset", 8.5),  # about 6.8
+])
+def test_a_manifest_or_dataset_needs_a_stated_multiple_of_its_bytes(kind, bound):
+    """Every row parses, the parse and not the build sets the peak, and the
+    peak per input byte stays under the README's figure with a margin."""
+    checks, per_byte = _child_lines(_PARSE_PEAK, kind)
+    assert checks == "True True"
+    assert float(per_byte) < bound
 
 
 class TestReportEmission:
@@ -979,6 +1040,14 @@ class TestParseManifest:
     def test_integer_cells_are_ascii_digits(self, years):
         doc = f"candidate_id,selected,call_year,career_start_year,path\na,true,{years},a.csv\n"
         with pytest.raises(FormatError, match="^manifest line 2: non-integer year$"):
+            parse_manifest(doc)
+
+    @pytest.mark.parametrize("path", ["", "  ", '""'])
+    def test_a_blank_path_is_refused(self, path):
+        # joined to the manifest's directory, a blank path would name the directory
+        doc = ("candidate_id,selected,call_year,career_start_year,path\n"
+               f"a,true,2004,,a.csv\nb,true,2004,,{path}\n")
+        with pytest.raises(FormatError, match="^manifest line 3: empty path$"):
             parse_manifest(doc)
 
     def test_bad_selected_flag(self):
