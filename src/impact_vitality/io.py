@@ -58,8 +58,8 @@ class FormatError(ValueError):
 # a list of strings, None for a scalar). `parse_dataset` and `emit_dataset`
 # both walk this table; the field names match the model dataclasses. The
 # emitted text is that of json.dumps(document, indent=2, sort_keys=True),
-# written from this table in one pass (`_EMITTED` gives each kind's fields
-# in key order).
+# written from this table as pieces joined once (`_EMITTED` gives each
+# kind's fields in key order).
 _STR, _INT, _LIST, _OBJ = (str,), (int,), (list,), (dict,)
 _YEAR = ((int, type(None)), False, None)
 SCHEMA = {
@@ -233,6 +233,23 @@ _EMITTED = {
     for kind, fields in SCHEMA.items()
 }
 _NEWLINE = tuple("\n" + "  " * depth for depth in range(8))  # deeper than SCHEMA nests
+
+
+def _layout(fields: tuple, depth: int) -> tuple:
+    """The `_EMITTED` `fields` of an object that opens on a line at `depth`,
+    as `_write` reads them: (name, the text before the field when it is the
+    first written and when it is a later one, nested kind, and for a list
+    the text before its first item, before a later one and after its last),
+    and the text that closes the object."""
+    inner, item = _NEWLINE[depth + 1], _NEWLINE[depth + 2]
+    return (tuple((name, ("{" + inner + key, "," + inner + key), nested,
+                   ("[" + item, "," + item, inner + "]") if is_list else None)
+                  for name, key, nested, is_list in fields),
+            _NEWLINE[depth] + "}")
+
+
+_LAYOUT = {kind: tuple(_layout(fields, depth) for depth in range(len(_NEWLINE) - 2))
+           for kind, fields in _EMITTED.items()}
 # AuthorKey's own order, by the tuples its generated __lt__ compares, read
 # without a Python-level __lt__ call per comparison.
 _AUTHOR_ORDER = attrgetter("surname", "initials")
@@ -248,54 +265,66 @@ def _scalar(value: Any, depth: int) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", _NEWLINE[depth])
 
 
-def _text(value: Any, kind: str, depth: int, memo: dict) -> str:
-    """The JSON text of the model `value` of `kind`, an object that opens on
-    a line at `depth`: the fields SCHEMA names, None left out, frozensets
-    sorted, nested kinds written in turn. The text of an author is kept in
-    `memo` by (key, depth), as one key recurs across records."""
-    inner = _NEWLINE[depth + 1]
-    parts = []
-    for name, key, nested, is_list in _EMITTED[kind]:
+def _write(out: list, value: Any, kind: str, depth: int, memo: dict) -> None:
+    """Append to `out` the pieces of the JSON text of the model `value` of
+    `kind`, an object that opens on a line at `depth`: the fields SCHEMA
+    names, None left out, frozensets sorted, nested kinds written in turn.
+    No object's text is joined into its parent's, except an author's: its
+    text is kept in `memo` by (id, depth), as one key recurs across records.
+    The dataset holds every key while it is written, so no id is reused."""
+    fields, end = _LAYOUT[kind][depth]
+    written = 0
+    for name, leads, nested, items in fields:
         field = SCHEMA_VERSION if name == "schema_version" else getattr(value, name)
         if field is None:
             continue
-        if not is_list:
+        out.append(leads[written])
+        written = 1
+        if items is None:
             if nested is None:
-                parts.append(key + _scalar(field, depth + 1))
+                out.append(_scalar(field, depth + 1))
             else:
-                parts.append(key + _text(field, nested, depth + 1, memo))
+                _write(out, field, nested, depth + 1, memo)
             continue
         if type(field) is frozenset:
             field = sorted(field, key=_AUTHOR_ORDER) if nested == "author" else sorted(field)
         if not field:
-            parts.append(key + "[]")
+            out.append("[]")
             continue
-        items, at = [], depth + 2
-        # loops, for the reason given in `_parse`
+        first, later, last = items
+        out.append(first)
+        at = depth + 2
+        # Each item is followed by `later`, and the last one's by `last`
+        # instead. Loops, for the reason given in `_parse`.
         if nested is str:
             for item in field:
-                items.append(_scalar(item, at))
+                out.append(_scalar(item, at))
+                out.append(later)
         elif nested == "author":
             for item in field:
-                text = memo.get((item, at))
+                text = memo.get((id(item), at))
                 if text is None:
-                    text = memo[item, at] = _text(item, nested, at, memo)
-                items.append(text)
+                    pieces = []
+                    _write(pieces, item, nested, at, memo)
+                    text = memo[id(item), at] = "".join(pieces)
+                out.append(text)
+                out.append(later)
         else:
             for item in field:
-                items.append(_text(item, nested, at, memo))
-        item_line = _NEWLINE[at]
-        parts.append(f"{key}[{item_line}{(',' + item_line).join(items)}{inner}]")
-    if not parts:
-        return "{}"
-    return f"{{{inner}{(',' + inner).join(parts)}{_NEWLINE[depth]}}}"
+                _write(out, item, nested, at, memo)
+                out.append(later)
+        out[-1] = last
+    out.append(end if written else "{}")
 
 
 def emit_dataset(ds: CitationDataset) -> str:
     """Serialize a dataset; parse(emit(ds)) reconstructs an equal dataset.
     The text is that of json.dumps(document, indent=2, sort_keys=True),
-    written straight from SCHEMA."""
-    return _text(ds, "dataset", 0, {}) + "\n"
+    written straight from SCHEMA as a list of pieces joined once."""
+    out: list[str] = []
+    _write(out, ds, "dataset", 0, {})
+    out.append("\n")
+    return "".join(out)
 
 
 def _check_year(what: str, year: Optional[int]) -> None:

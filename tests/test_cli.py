@@ -1083,6 +1083,26 @@ def test_a_fifo_in_a_manifest_is_refused(tmp_path):
     assert done.stderr == "impact-vitality: error: pipe: not a regular file\n"
 
 
+_COMPONENTS = st.sampled_from(["", ".", "..", "a", ".b", "c.", " ", "\\", "é"])
+_PATHS = st.lists(_COMPONENTS, min_size=1, max_size=4).map("/".join) | st.text(min_size=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([".", "/", "//", "///", "a", "a/b", "/a", "//a", "../a"]) | _PATHS,
+       _PATHS)
+@example(".", "pipe")
+@example(".", "./pipe")
+@example("a", "b/.")
+@example("a", "..")
+@example("a", "b/")
+@example("a", "b//c")
+@example("/", "b")
+@example("//", "b")
+@example("a", "/b")
+def test_a_candidate_path_is_the_pathlib_join(base, name):
+    assert cli._candidate_path(Path(base), name) == str(Path(base) / name)
+
+
 # A cap below, at and above the size of `_read`'s first read.
 read_caps = pytest.mark.parametrize("cap", [10, 2**16, 2**16 + 100])
 

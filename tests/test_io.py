@@ -353,6 +353,14 @@ datasets = st.builds(
                     CitingRecord("d", 1992, authors={SHARED, AuthorKey("lee")},
                                  cited_target_pub_ids={"p"})],
 ))
+@example(CitationDataset(  # equal keys as distinct objects; one key object at two list depths
+    TargetAuthor(SHARED, name_variants={SHARED, AuthorKey("lee")}),
+    publications=[Publication("p", 1990)],
+    citing_records=[CitingRecord("c", 1991, authors={SHARED, AuthorKey("lee")},
+                                 cited_target_pub_ids={"p"}),
+                    CitingRecord("d", 1992, authors={AuthorKey(SHARED.surname, SHARED.initials)},
+                                 cited_target_pub_ids={"p"})],
+))
 def test_emit_matches_reference_bytes_and_round_trips(ds):
     text = emit_dataset(ds)
     assert text == _reference_emit(ds)
@@ -968,6 +976,39 @@ def test_a_manifest_or_dataset_needs_a_stated_multiple_of_its_bytes(kind, bound)
     checks, per_byte = _child_lines(_PARSE_PEAK, kind)
     assert checks == "True True"
     assert float(per_byte) < bound
+
+
+# Peak memory of an `emit_dataset` of about 4 MiB per output byte, measured
+# from the end of the dataset's build, which grows the process steadily.
+_EMIT_PEAK = r"""
+import resource, sys
+from impact_vitality import (AuthorKey, CitationDataset, CitingRecord, Publication, TargetAuthor,
+                             emit_dataset)
+def peak():
+    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale
+names = [AuthorKey(f"surname{i:04d}", "j.k.") for i in range(1000)]
+pubs = [Publication(f"p{i}", 2000, "article") for i in range(100)]
+def dataset(n):  # n records of three authors each
+    return CitationDataset(TargetAuthor(names[0], name_variants=names[1:3]), pubs, [
+        CitingRecord(f"c{i:07d}", 2001, names[i % 997:i % 997 + 3], {f"p{i % 100}"}, "article")
+        for i in range(n)])
+per_record = len(emit_dataset(dataset(2))) - len(emit_dataset(dataset(1)))
+ds = dataset(4 * 2**20 // per_record)
+built = peak()
+text = emit_dataset(ds)
+print(len(text) // 2**20, peak() > built)
+print((peak() - built) / len(text))
+"""
+
+
+def test_emit_needs_a_stated_multiple_of_its_output_bytes():
+    """The emit sets the peak, and the peak it adds per output byte stays
+    under the README's figure with a margin: the text is joined once, so
+    no object's text is also held in its parent's."""
+    checks, per_byte = _child_lines(_EMIT_PEAK)
+    assert checks == "4 True"
+    assert float(per_byte) < 2.6  # about 2.05; 3.17 when each object joined its own text
 
 
 class TestReportEmission:
