@@ -18,7 +18,6 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import asdict, replace
-from itertools import repeat
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
@@ -61,9 +60,11 @@ _READ_SIZE = 64 * 2**10
 _BINARY = getattr(os, "O_BINARY", 0)
 _NO_WAIT = getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_NOCTTY", 0)
 
-# A cohort worker process profiles at least this many candidates. With
-# fewer, the fork, the pipe and the wait cost more than the share saves:
-# on a 2-vCPU VM, two workers broke even at 40 to 200 candidates.
+# Each cohort share holds at least this many candidates. With fewer, the
+# fork, the pipe and the wait cost more than a share saves: on a 2-vCPU VM,
+# this process and one worker broke even with this process alone at under
+# 50 to about 250 seed-1 candidates, as the load on the other vCPU varied
+# (medians of 21 to 31 alternating rounds, in five runs).
 _MIN_PER_WORKER = 100
 
 
@@ -371,12 +372,12 @@ def _candidate_row(entry: dict, base: Path) -> tuple:
 
 
 def _worker_count(candidates: int) -> int:
-    """How many forked worker processes profile `candidates` cohort
-    candidates: one per CPU this process may run on, each with at least
-    _MIN_PER_WORKER candidates. Below 2 the candidates are profiled in
-    process, as they are without os.fork, while another thread runs (a
-    fork copies only the calling thread, so a lock that another one holds
-    stays held in the child) and while SIGCHLD has a handler or is
+    """How many shares `candidates` cohort candidates are cut into, one
+    profiled in this process and each other in a forked worker: one per CPU
+    this process may run on, each with at least _MIN_PER_WORKER candidates.
+    It is 1, and no worker is forked, without os.fork, while another thread
+    runs (a fork copies only the calling thread, so a lock that another one
+    holds stays held in the child) and while SIGCHLD has a handler or is
     ignored (either may reap a worker before its status is read)."""
     if (not hasattr(os, "fork") or _thread_count() > 1
             or signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL):
@@ -395,18 +396,20 @@ def _thread_count() -> int:
         return threading.active_count()
 
 
-def _rows_from_workers(entries: list, base: Path, workers: int, manifest: str) -> Optional[list]:
-    """The `_candidate_row`s of `entries` in manifest order, each of
-    `workers` forked processes profiling one contiguous share, or None
-    where a pipe or a process cannot be had. A share holds only candidates
-    after those of every share before it, so the first share that fails
-    names the error an in-process run names. Every worker is reaped on
-    every path; those still running are killed first."""
+def _candidate_rows(entries: list, base: Path, workers: int, manifest: str) -> list:
+    """The `_candidate_row`s of `entries` in manifest order, cut into
+    `workers` contiguous shares: this process profiles the first, and one
+    forked process each later one. Where a pipe or a process cannot be had,
+    the workers started keep their shares and this process profiles the rest
+    after reading theirs. A share holds only candidates after those of every
+    share before it, so the first share that fails names the error a run in
+    one process names. Every worker is reaped on every path; those still
+    running are killed first."""
     bounds = [len(entries) * k // workers for k in range(workers + 1)]
     pids, pipes = [], []
     try:
         try:
-            for first, end in zip(bounds, bounds[1:]):
+            for first, end in zip(bounds[1:], bounds[2:]):
                 read_end, write_end = os.pipe()
                 pipes.append(open(read_end, "rb"))
                 try:
@@ -417,8 +420,11 @@ def _rows_from_workers(entries: list, base: Path, workers: int, manifest: str) -
                 finally:
                     os.close(write_end)
         except OSError:  # at a limit on processes or open files, say
-            return None
-        rows = []
+            if len(pipes) > len(pids):  # the fork failed
+                pipes.pop().close()
+        # A worker whose rows overfill its pipe waits in its write until the
+        # pipe is read, so no wait may come before the read.
+        rows = [_candidate_row(entry, base) for entry in entries[:bounds[1]]]
         for pipe in pipes:
             data = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
@@ -430,6 +436,7 @@ def _rows_from_workers(entries: list, base: Path, workers: int, manifest: str) -
             rows += share
             if error is not None:
                 raise DataError(error)
+        rows += [_candidate_row(entry, base) for entry in entries[bounds[len(pipes) + 1]:]]
         return rows
     finally:
         for pipe in pipes:
@@ -476,12 +483,7 @@ def cmd_cohort(args) -> tuple[int, str]:
         entries = ivio.parse_manifest(_read(args.manifest))
         base = Path(args.manifest).parent
         workers = _worker_count(len(entries))
-        candidate_rows = None
-        if workers > 1:
-            candidate_rows = _rows_from_workers(entries, base, workers, args.manifest)
-        if candidate_rows is None:
-            candidate_rows = map(_candidate_row, entries, repeat(base))
-        summary = cohort.cohort_summary(candidate_rows)
+        summary = cohort.cohort_summary(_candidate_rows(entries, base, workers, args.manifest))
     rows = _cohort_rows()
 
     if args.format == "json":

@@ -3,6 +3,7 @@ import errno
 import gc
 import inspect
 import json
+import marshal
 import math
 import os
 import random
@@ -1390,10 +1391,90 @@ def test_workers_give_the_in_process_bytes(fmt, tmp_path, monkeypatch):
     runs = {}
     for workers in (1, 2, 3):
         runs[workers], forked = run_cohort(monkeypatch, argv, workers)
-        assert len(forked) == (0 if workers == 1 else workers)
+        assert len(forked) == workers - 1
         assert_no_child_is_left()
     assert runs[1].status == 0 and runs[1].err == "" and runs[1].writes == 1
     assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+def profiled_here(monkeypatch) -> list:
+    """The ids of the candidates that this process profiles from now on,
+    in order; a worker's calls land in its own copy of the list."""
+    here, row, parent = [], cli._candidate_row, os.getpid()
+
+    def counted_row(entry, base):
+        if os.getpid() == parent:
+            here.append(entry["candidate_id"])
+        return row(entry, base)
+
+    monkeypatch.setattr(cli, "_candidate_row", counted_row)
+    return here
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_this_process_profiles_the_first_share(workers, tmp_path, monkeypatch):
+    """Of `workers` contiguous shares, this process profiles the first
+    and one forked worker each later one."""
+    manifest = write_cohort(tmp_path)
+    here = profiled_here(monkeypatch)
+    run, forked = run_cohort(monkeypatch, ["cohort", manifest, "--format", "json"], workers)
+    assert run.status == 0 and run.err == ""
+    assert here == [f"k{i}" for i in range(300 // workers)]
+    assert len(forked) == workers - 1
+    assert_no_child_is_left()
+
+
+@needs_fork
+def test_an_error_in_the_first_share_ends_the_run_unread(tmp_path, monkeypatch):
+    """Candidate 51, in the first share, goes bad while the worker of the
+    last share stalls: the run names candidate 51 as a run in one process
+    does, without waiting for that worker, and kills and reaps it."""
+    manifest = write_cohort(tmp_path)
+    BAD_CANDIDATES["negative"](tmp_path / "c51.csv")
+    argv = ["cohort", manifest, "--format", "json"]
+    expected, _ = run_cohort(monkeypatch, argv, 1)
+    assert expected.status == 1 and expected.out == ""
+    assert str(tmp_path / "c51.csv") in expected.err
+    row = cli._candidate_row
+
+    def stalling_row(entry, base):
+        if entry["candidate_id"] == "k201":  # in the last share of two workers and of three
+            signal.pause()
+        return row(entry, base)
+
+    monkeypatch.setattr(cli, "_candidate_row", stalling_row)
+    for workers in (2, 3):
+        run, forked = run_cohort(monkeypatch, argv, workers, seconds=10)
+        assert run == expected and len(forked) == workers - 1
+        assert_no_child_is_left()
+
+
+@needs_fork
+def test_rows_past_a_pipe_buffer_give_the_in_process_bytes(tmp_path, monkeypatch):
+    """6,000 candidates with a cheap row: each worker's marshalled rows
+    overfill a 64 KiB pipe buffer, so its write waits until this process,
+    done with its own share, reads them."""
+    size = 6000
+    lines = ["candidate_id,selected,call_year,career_start_year,path"]
+    lines += [f"k{i},{'true' if i % 3 else 'false'},{1990 + i % 30},,c{i}.csv" for i in range(size)]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+
+    def cheap_row(entry, base):
+        i = int(entry["candidate_id"][1:])
+        return entry["selected"], (1.0 + i / 997, None if i % 4 == 0 else i / 7, i / 3, i / 11)
+
+    rows = [cheap_row(entry, None) for entry in parse_manifest(manifest.read_text())]
+    assert len(marshal.dumps((rows[size // 3 * 2:], None))) > 64 * 2**10
+    monkeypatch.setattr(cli, "_candidate_row", cheap_row)
+    argv = ["cohort", str(manifest), "--format", "json"]
+    expected, _ = run_cohort(monkeypatch, argv, 1)
+    assert expected.status == 0 and expected.err == ""
+    for workers in (2, 3):
+        run, forked = run_cohort(monkeypatch, argv, workers, seconds=10)
+        assert run == expected and len(forked) == workers - 1
+        assert_no_child_is_left()
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -1464,7 +1545,7 @@ def test_workers_name_the_first_error_in_manifest_order(kinds, tmp_path, monkeyp
     assert str(tmp_path / "c151.csv") in expected.err
     for workers in (2, 3):
         run, forked = run_cohort(monkeypatch, argv, workers)
-        assert run == expected and len(forked) == workers
+        assert run == expected and len(forked) == workers - 1
         assert_no_child_is_left()
 
 
@@ -1515,12 +1596,14 @@ def test_an_interrupt_reaps_every_worker(tmp_path, monkeypatch):
 ], ids=["fork", "pipe"])
 @pytest.mark.parametrize("failing", [1, 2])
 def test_a_failed_fork_or_pipe_profiles_in_process(call, error, failing, tmp_path, monkeypatch):
-    """The `failing`-th os.fork or os.pipe call fails, as at a limit on
-    processes or open files: the worker already started is killed and
-    reaped, and the candidates are profiled in process, with its bytes."""
+    """Of three shares, the `failing`-th os.fork or os.pipe call fails, as
+    at a limit on processes or open files: the worker already started is
+    kept, and this process profiles the first share and each share left
+    without a worker, with the bytes of a run in one process."""
     manifest = write_cohort(tmp_path)
     argv = ["cohort", manifest, "--format", "json"]
     expected, _ = run_cohort(monkeypatch, argv, 1)
+    here = profiled_here(monkeypatch)
     real, calls = getattr(os, call), []
 
     def fail_once(*args):
@@ -1530,9 +1613,10 @@ def test_a_failed_fork_or_pipe_profiles_in_process(call, error, failing, tmp_pat
         return real(*args)
 
     monkeypatch.setattr(os, call, fail_once)
-    run, forked = run_cohort(monkeypatch, argv, 2)
+    run, forked = run_cohort(monkeypatch, argv, 3)
     assert expected.status == 0 and expected.writes == 1
-    assert run == expected and len(forked) == failing - 1
+    assert run == expected and len(calls) == failing and len(forked) == failing - 1
+    assert len(here) == (300 if failing == 1 else 200)
     assert_no_child_is_left()
 
 

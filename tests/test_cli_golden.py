@@ -10,6 +10,9 @@ import csv
 import io
 import json
 import math
+import os
+import shutil
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -121,6 +124,64 @@ def test_stdout_matches_golden(name, fixture_dir):
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert err == ""
     assert writes == 1
+
+
+# Run in a child interpreter: every case, then the cohort cases again with
+# three shares. Prints a JSON object of "<name>" or "<name>@3" -> [status, stdout].
+_CHILD = """
+import contextlib, io, json, sys
+from impact_vitality import cli
+
+def run(cases, suffix, out):
+    for name, argv in cases.items():
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            status = cli.main(argv)
+        out[name + suffix] = [status, text.getvalue()]
+
+cases, out = json.loads(sys.argv[1]), {}
+run(cases, "", out)
+cli._worker_count = lambda candidates: 3
+run({k: v for k, v in cases.items() if v[0] == "cohort"}, "@3", out)
+print(json.dumps(out))
+"""
+
+
+def _interpreter(version: str):
+    """A `python<version>` that starts: the one on PATH, else one of
+    pyenv's versions (a pyenv shim on PATH exits with an error where no
+    version of that name is selected), else None."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    found = [shutil.which(f"python{version}")]
+    found += sorted(str(exe) for exe in root.glob(f"{version}.*/bin/python{version}"))
+    for exe in filter(None, found):
+        check = "import sys; print('%d.%d' % sys.version_info[:2])"
+        try:
+            done = subprocess.run([exe, "-c", check], capture_output=True, text=True, timeout=30)
+        except OSError:
+            continue
+        if done.returncode == 0 and done.stdout.strip() == version:
+            return exe
+    return None
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_other_pythons_print_the_golden_bytes(version, fixture_dir):
+    """The CLI's float order, sum() and formatting give the same bytes on
+    the other CPythons that `requires-python` admits, as far as they are
+    installed; the cohort cases also with three shares."""
+    exe = _interpreter(version)
+    if exe is None:
+        pytest.skip(f"no python{version} starts here")
+    cases = {name: [arg.format(d=fixture_dir) for arg in argv] for name, argv in CASES.items()}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([exe, "-c", _CHILD, json.dumps(cases)], capture_output=True,
+                          text=True, encoding="utf-8", env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(done.stdout)
+    assert sorted(runs) == sorted([*CASES, "cohort_json@3", "cohort_table@3"])
+    for name, (status, out) in runs.items():
+        golden = (GOLDEN / f"{name.split('@')[0]}.txt").read_text(encoding="utf-8")
+        assert (name, status, out) == (name, 0, golden)
 
 
 def test_validate_writes_its_findings_once(tmp_path):

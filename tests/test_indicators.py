@@ -28,6 +28,14 @@ from impact_vitality.model import YEAR_MAX, YEAR_MIN
 from conftest import SIMULATED_CASES, TABLE5_COUNTS, TABLE5_PRINTED_IV
 
 
+def harmonic_from_zero(n):
+    """H_n as one left-to-right loop from zero, the bits the kernel keeps."""
+    total = 0.0
+    for i in range(1, n + 1):
+        total += 1.0 / i
+    return total
+
+
 def brute_force_h(citations):
     return max(
         (h for h in range(len(citations) + 1) if sum(c >= h for c in citations) >= h),
@@ -94,21 +102,25 @@ class TestImpactVitality:
 
     def test_the_harmonic_table_holds_harmonic_bits(self):
         """The kernel looks H_n up in a table that covers every window the
-        year range allows; each entry has the bits of `harmonic(n)`."""
+        year range allows; each entry, and `harmonic(n)` on and past the
+        table, has the bits of a loop from zero."""
         table = indicators._HARMONIC
         assert len(table) == YEAR_MAX - YEAR_MIN + 2
-        assert [h.hex() for h in table] == [harmonic(n).hex() for n in range(len(table))]
+        ns = range(-2, len(table) + 40)
+        expected = [harmonic_from_zero(n).hex() for n in ns]
+        assert [harmonic(n).hex() for n in ns] == expected
+        assert [h.hex() for h in table] == expected[2:len(table) + 2]
 
     def test_a_window_past_the_table_takes_harmonic(self):
         """A library caller may pass a longer window than the table covers:
-        its value is the formula's with `harmonic(n)`, bit for bit."""
+        its value is the formula's with H_n from zero, bit for bit."""
         size = len(indicators._HARMONIC)
         for n in (size - 1, size, size + 40):
             counts = [1 + (7 * i) % 11 for i in range(n)]
             weighted = 0.0
             for age, count in enumerate(counts, start=1):
                 weighted += count / age
-            expected = (n * (weighted / sum(counts)) - 1.0) / (harmonic(n) - 1.0)
+            expected = (n * (weighted / sum(counts)) - 1.0) / (harmonic_from_zero(n) - 1.0)
             assert impact_vitality(counts).hex() == expected.hex()
 
 
