@@ -315,24 +315,22 @@ def cmd_indicators(args) -> tuple[int, str]:
         pubs = [(p.id, per_pub[p.id], p.year) for p in ds.publications if p.year <= year]
         core = select_h_core(pubs, year)
         h, ar = len(core), ar_index(core)
-    latest = profile.points[-1] if profile.points else None
+    latest = ivio.report_rows(profile)[0] if len(profile) else None
 
     if args.format == "json":
+        # The latest report row in this key order, each key without "iv_".
         iv = None if latest is None else {
-            "observation_year": latest.observation_year,
-            "window_length": latest.window_length,
-            "value": round(latest.value, 2),
-            "value_raw": latest.value,
-            "total_citing": latest.total_citing,
-            "zero_year_flag": latest.zero_year_flag,
+            key.removeprefix("iv_"): latest[key]
+            for key in ("observation_year", "window_length", "iv_value", "iv_value_raw",
+                        "total_citing", "zero_year_flag")
         }
         out = {"observation_year": year, "h_index": h, "ar_index": round(ar, 4),
                "impact_vitality": iv}
         return 0, json.dumps(out, indent=2) + "\n"
     lines = [f"observation_year: {year}", f"h_index: {h}", f"ar_index: {ar:.4f}"]
     if latest:
-        lines.append(f"impact_vitality({latest.observation_year}, n={latest.window_length}): "
-                     f"{latest.value:.2f}")
+        lines.append(f"impact_vitality({latest['observation_year']}, "
+                     f"n={latest['window_length']}): {latest['iv_value_raw']:.2f}")
     else:
         lines.append("impact_vitality: undefined (no admissible window)")
     return 0, "\n".join(lines) + "\n"

@@ -429,21 +429,21 @@ def emit_counts(counts: YearlyCitingCounts) -> str:
 
 
 def report_rows(profile: IVProfile) -> list[dict]:
-    """Profile points as report rows, newest observation year first.
+    """The profile's columns as report rows, newest observation year first.
 
     iv_value carries the uniform 2-decimal presentation; iv_value_raw the
     full-precision number for machine consumers.
     """
     rows = []
-    for pt in reversed(profile.points):
+    for i in reversed(range(len(profile))):
         rows.append(
             {
-                "observation_year": pt.observation_year,
-                "window_length": pt.window_length,
-                "iv_value": round(pt.value, 2),
-                "total_citing": pt.total_citing,
-                "zero_year_flag": pt.zero_year_flag,
-                "iv_value_raw": pt.value,
+                "observation_year": profile.observation_years[i],
+                "window_length": profile.window_lengths[i],
+                "iv_value": round(profile.values[i], 2),
+                "total_citing": profile.totals_citing[i],
+                "zero_year_flag": profile.zero_year_flags[i],
+                "iv_value_raw": profile.values[i],
             }
         )
     return rows

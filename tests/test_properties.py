@@ -27,6 +27,7 @@ from impact_vitality import (
     emit_dataset,
     yearly_citing_counts,
 )
+from impact_vitality.io import report_rows
 
 from conftest import TABLE5_COUNTS, make_dataset, make_target
 
@@ -193,6 +194,40 @@ def test_points_are_the_columns(counts_map, spec, first, span):
         *([getattr(pt, f.name) for pt in profile.points] for f in fields(IVPoint)), spec
     )
     assert rebuilt == profile
+
+
+@given(
+    sparse_counts,
+    window_specs,
+    st.integers(min_value=1970, max_value=2030),
+    st.integers(min_value=0, max_value=50),
+)
+def test_report_rows_are_the_points_newest_first(counts_map, spec, first, span):
+    """`report_rows` reads the columns and gives the rows that the points
+    give, newest first: the same keys in the same order and the same fields,
+    the raw value bit for bit."""
+    last = first + span
+    assume(not isinstance(spec, FixedStart) or spec.start_year <= last)
+    profile = iv_profile(YearlyCitingCounts(counts_map), spec, first, last)
+    rows = report_rows(profile)
+    expected = [
+        {
+            "observation_year": pt.observation_year,
+            "window_length": pt.window_length,
+            "iv_value": round(pt.value, 2),
+            "total_citing": pt.total_citing,
+            "zero_year_flag": pt.zero_year_flag,
+            "iv_value_raw": pt.value,
+        }
+        for pt in reversed(profile.points)
+    ]
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert list(row) == list(want)
+        for key in ("observation_year", "window_length", "total_citing", "zero_year_flag"):
+            assert type(row[key]) is type(want[key]) and row[key] == want[key]
+        assert row["iv_value"] == want["iv_value"]
+        assert row["iv_value_raw"].hex() == want["iv_value_raw"].hex()
 
 
 @functools.lru_cache(maxsize=None)
