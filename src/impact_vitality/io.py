@@ -112,8 +112,7 @@ def _where(where: Optional[tuple]) -> str:
     return text if index is None else f"{text}[{index}]"
 
 
-def _parse(obj: Any, kind: str, where: Optional[tuple],
-           keys: dict[tuple[str, str], AuthorKey]) -> Any:
+def _parse(obj: Any, kind: str, where: Optional[tuple], keys: dict) -> Any:
     """The model value of the JSON object `obj` of `kind`, built in place
     from `obj` once its nested objects are parsed in turn. The first fault
     is named in this order: not an object; a field unknown or not of its
@@ -123,8 +122,10 @@ def _parse(obj: Any, kind: str, where: Optional[tuple],
     An "author" gives its `AuthorKey`: `keys` maps each raw (surname,
     initials) pair seen so far in the document to its key, so each distinct
     name is normalized once; a pair that fails normalization is not stored.
-    A nested value that already is its kind's model, as the decode makes of
-    each valid author, is kept as it is."""
+    A list of cited ids gives its frozenset, which `keys` also holds as its
+    own key (no pair equals a set), so equal sets from one document are one
+    object. A nested value that already is its kind's model, as the decode
+    makes of each valid author, is kept as it is."""
     if type(obj) is not dict:
         raise FormatError(f"{_where(where)}: expected an object, got {type(obj).__name__}")
     if kind == "dataset":  # the version fixes the layout, so it is checked first
@@ -162,6 +163,8 @@ def _parse(obj: Any, kind: str, where: Optional[tuple],
             for item in value:
                 if type(item) is not str:
                     raise FormatError(f"{_where(where)}: {name!r} must hold only str")
+            ids = frozenset(value)
+            obj[name] = keys.setdefault(ids, ids)
         elif not is_list:
             if type(value) is not _MODELS[nested]:
                 obj[name] = _parse(value, nested, (where, name, None), keys)
@@ -173,7 +176,7 @@ def _parse(obj: Any, kind: str, where: Optional[tuple],
     return _MODELS[kind](**obj)
 
 
-def _author_hook(keys: dict[tuple[str, str], AuthorKey]):
+def _author_hook(keys: dict):
     """The `object_hook` that makes each valid author object its `AuthorKey`
     as the document is decoded, sharing `keys` with `_parse`, and leaves
     every other object a dict. A two-field object is looked up by its raw
@@ -212,9 +215,11 @@ def parse_dataset(document: str) -> CitationDataset:
 
     Parsing checks each object's fields and JSON types. The rules that span
     objects, such as that every cited id names a publication, belong to
-    `validate_dataset`: run it before the reductions.
+    `validate_dataset`: run it before the reductions. Equal cited-id sets
+    from one document are one frozenset in the dataset, as equal raw author
+    names are one key.
     """
-    keys: dict[tuple[str, str], AuthorKey] = {}
+    keys: dict = {}  # raw author pair -> key, and each cited-id set as itself
     try:
         return _parse(_decode(document, _author_hook(keys)), "dataset", None, keys)
     except FormatError:

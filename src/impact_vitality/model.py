@@ -124,7 +124,8 @@ class CitingRecord:
         # Written out, as a dataset holds mostly records: a generated
         # `__init__` would need a `__post_init__` to make the collections
         # frozensets, setting them twice. The signature must list the
-        # fields in order, with their defaults.
+        # fields in order, with their defaults. A frozenset passed in is
+        # kept as it is: `parse_dataset` gives equal cited-id sets as one.
         set_field = object.__setattr__
         set_field(self, "id", id)
         set_field(self, "year", year)
